@@ -48,7 +48,6 @@ def _compute_value(args) -> tuple[int, bool, list | None, int]:
             strategy=args.variant,
             use_cartesian=not args.no_cartesian,
             budget=args.budget,
-            threads=args.threads,
         )
     else:
         if args.m != 2:
@@ -59,8 +58,9 @@ def _compute_value(args) -> tuple[int, bool, list | None, int]:
 
 
 def cmd_value(args) -> int:
-    cache = ResultCache(args.cache)
-    cached = cache.get(args.n, args.m, args.mode)
+    # the cache answers the default dispatch only; a cross-check always computes
+    cache = ResultCache(args.cache) if args.variant == "auto" and not args.no_cartesian else None
+    cached = cache.get(args.n, args.m, args.mode) if cache is not None else None
     if cached is not None and cached.exact:
         value, exact, witness, elapsed = cached.value, cached.exact, cached.witness, cached.elapsed_ms
         variant = cached.variant
@@ -72,19 +72,20 @@ def cmd_value(args) -> int:
             print(exc.lower_bound)
             return 2
         variant = args.variant
-        cache.put(
-            ResultRecord(
-                n=args.n,
-                m=args.m,
-                mode=args.mode,
-                value=value,
-                exact=exact,
-                witness=witness,
-                elapsed_ms=elapsed,
-                variant=variant,
+        if cache is not None:
+            cache.put(
+                ResultRecord(
+                    n=args.n,
+                    m=args.m,
+                    mode=args.mode,
+                    value=value,
+                    exact=exact,
+                    witness=witness,
+                    elapsed_ms=elapsed,
+                    variant=variant,
+                )
             )
-        )
-        cache.save()
+            cache.save()
     if args.json:
         print(
             json.dumps(
@@ -117,7 +118,7 @@ def _table_rows(args):
                 yield (
                     f"I({n},{m})",
                     TABLE1.get((n, m)),
-                    lambda n=n, m=m: I_of(n, m, budget=args.budget, threads=args.threads),
+                    lambda n=n, m=m: I_of(n, m, budget=args.budget),
                 )
     else:
         table = TABLE2 if args.which == 2 else TABLE3
@@ -164,7 +165,7 @@ def cmd_verify(args) -> int:
     failures = 0
     unverified = 0
     if args.conjecture:
-        report = verify_conjecture(args.max_n, budget=args.budget, threads=args.threads)
+        report = verify_conjecture(args.max_n, budget=args.budget)
         for entry in report.entries:
             if entry.tight is False:
                 print(
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--m", type=int, default=2)
     p_value.add_argument("--mode", choices=MODE_NAMES, default="I")
     p_value.add_argument("--variant", choices=("auto", "full", "rooted", "delta"), default="auto")
-    p_value.add_argument("--threads", type=int, default=1)
     p_value.add_argument("--budget", type=float, default=None, help="seconds per search")
     p_value.add_argument("--no-cartesian", action="store_true", help="disable coprime factor splitting")
     p_value.add_argument("--json", action="store_true")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-n", type=int, default=None)
     p_table.add_argument("--max-m", type=int, default=3)
     p_table.add_argument("--budget", type=float, default=None)
-    p_table.add_argument("--threads", type=int, default=1)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the construction-bound and theorem checks")
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorems", action="store_true")
     p_verify.add_argument("--max-n", type=int, default=30)
     p_verify.add_argument("--budget", type=float, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dimacs = sub.add_parser("export-dimacs", help="write a distance graph in DIMACS format")

@@ -1,11 +1,16 @@
 """Distance-graph construction and an exact maximum-clique solver.
 
 Cliques of the distance graph are exactly the integral point sets, so the
-maximum cardinality I(n, m) reduces to maximum clique.  Three graph variants
-are provided: the full graph on all of Z_n^m, the graph rooted at 0 (one point
-fixed by translation symmetry), and the family of graphs with a fixed anchor
-edge class (two points fixed, remaining edge classes restricted by a chosen
-numbering).
+maximum cardinality I(n, m) reduces to maximum clique.  Integrality of u, v
+depends only on u - v, so every distance graph is a Cayley graph of Z_k^m
+restricted to a vertex set: one connection table over the k^m difference
+vectors, indexed by ``point_index``, decides every pair, and a single builder
+turns (vertex list, k, table) into bit-vector adjacency.  The graph variants
+differ only in vertex set and table: the full graph on all of Z_n^m and the
+graph rooted at 0 (one point fixed by translation symmetry) use the integral
+table; the family with a fixed anchor edge class (two points fixed) keeps the
+classes numbered at or above the anchor's.  The even-modulus and Hamming
+graphs of ``reductions`` use the same builder.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds, vertices preordered by descending degree.  Adjacency rows are
@@ -15,12 +20,11 @@ Python ints used as bit vectors, which keeps the inner loops in C.
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, ResourceLimitError, SearchTimeout
-from .geometry import Point, delta, is_integral, is_integral_delta, point_index
+from .geometry import Point, delta, is_integral_delta, point_index
 from .modring import squares
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -75,37 +79,39 @@ def _all_points(n: int, m: int) -> list[Point]:
 def _integral_diff_table(n: int, m: int) -> list[bool]:
     """ok[point_index(u - v)] == is_integral(u, v); one entry per difference vector."""
     sq = squares(n).squares
-    ok = [False] * (n**m)
-    for idx, p in enumerate(_all_points(n, m)):
-        ok[idx] = sum(c * c for c in p) % n in sq
-    return ok
+    return [sum(c * c for c in p) % n in sq for p in _all_points(n, m)]
 
 
-def _adjacency(points: list[Point], n: int, m: int, ok: list[bool]) -> list[int]:
-    v = len(points)
-    adj = [0] * v
-    if m == 2:
-        coords = [(p[0], p[1]) for p in points]
-        for i in range(v):
-            xi, yi = coords[i]
-            row = adj[i]
-            for j in range(i + 1, v):
-                xj, yj = coords[j]
-                if ok[((xi - xj) % n) * n + (yi - yj) % n]:
-                    row |= 1 << j
-                    adj[j] |= 1 << i
-            adj[i] = row
-    else:
-        diff = [point_index(tuple((a - b) % n for a, b in zip(u, w)), n) for u in points for w in points]
-        for i in range(v):
-            base = i * v
-            row = adj[i]
-            for j in range(i + 1, v):
-                if ok[diff[base + j]]:
-                    row |= 1 << j
-                    adj[j] |= 1 << i
-            adj[i] = row
-    return adj
+def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[int]:
+    """Adjacency of the graph on ``points`` with u ~ v iff table[point_index(u - v, k)].
+
+    Every graph here is a Cayley graph of Z_k^m restricted to a vertex set, so
+    one connection table over the differences decides every pair.  Each point
+    is encoded once as sum p_i * (2k - 1)^(m-1-i); the integer difference of
+    two encodings then indexes a table over the digit range -(k-1)..k-1 with
+    one subtraction.  Rows are read in C as '0'/'1' strings.
+    """
+    if not points:
+        return []
+    m = len(points[0])
+    base = 2 * k - 1
+    residues = [0]
+    for _ in range(m):
+        residues = [r * k + d % k for r in residues for d in range(1 - k, k)]
+    wide = bytearray(49 if table[r] else 48 for r in residues)
+    offset = 0
+    for _ in range(m):
+        offset = offset * base + k - 1
+    wide[offset] = 48  # no loops
+    look = wide.__getitem__
+    codes = []
+    for p in points:
+        code = 0
+        for c in p:
+            code = code * base + c
+        codes.append(code)
+    high_first = codes[::-1]  # int(..., 2) reads the highest bit first
+    return [int(bytes(map(look, map((code + offset).__sub__, high_first))), 2) for code in codes]
 
 
 def build_full(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> DistanceGraph:
@@ -113,7 +119,7 @@ def build_full(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dist
     _check_budget_vertices(n**m, max_vertices)
     points = _all_points(n, m)
     ok = _integral_diff_table(n, m)
-    return DistanceGraph(n, m, "full", points, _adjacency(points, n, m, ok))
+    return DistanceGraph(n, m, "full", points, _cayley_adjacency(points, n, ok))
 
 
 def build_rooted(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> DistanceGraph:
@@ -125,9 +131,8 @@ def build_rooted(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Di
     _check_budget_vertices(n**m, max_vertices)
     ok = _integral_diff_table(n, m)
     zero = (0,) * m
-    points = [p for p in _all_points(n, m) if p != zero and ok[point_index(p, n)]]
-    adj = _adjacency(points, n, m, ok)
-    return DistanceGraph(n, m, "rooted", points, adj, meta={"root": zero})
+    points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
+    return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok), meta={"root": zero})
 
 
 def delta_classes(n: int, m: int) -> list[tuple[int, ...]]:
@@ -159,37 +164,25 @@ def build_delta_family(
     classes = delta_classes(n, m)
     if not classes:
         return []
-    points = [p for p in _all_points(n, m) if p != zero and ok[point_index(p, n)]]
-
-    def common_count(e: Point) -> int:
-        return sum(
-            1 for p in points if p != e and ok[point_index(tuple((a - b) % n for a, b in zip(p, e)), n)]
-        )
+    points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
+    # the integral points other than e at integral distance to e, in rooted order
+    common = {
+        e: [p for p in points if p != e and ok[point_index(tuple(a - b for a, b in zip(p, e)), n)]]
+        for e in classes
+    }
 
     if ordering == "rarest":
-        classes.sort(key=lambda e: (common_count(e), e))
+        classes.sort(key=lambda e: (len(common[e]), e))
     elif ordering != "lex":
         raise InvalidInputError(f"unknown ordering {ordering!r}")
+    # rank[point_index(d)]: number of the class of the Lee-reduced d, -1 if not integral
     class_index = {e: i for i, e in enumerate(classes)}
+    rank = [class_index.get(delta(d, zero, n), -1) for d in _all_points(n, m)]
 
     family = []
     for i, e in enumerate(classes):
-        verts = [
-            p
-            for p in points
-            if p != e and ok[point_index(tuple((a - b) % n for a, b in zip(p, e)), n)]
-        ]
-        v = len(verts)
-        adj = [0] * v
-        for a in range(v):
-            pa = verts[a]
-            row = adj[a]
-            for b in range(a + 1, v):
-                j = class_index.get(delta(pa, verts[b], n))
-                if j is not None and j >= i:
-                    row |= 1 << b
-                    adj[b] |= 1 << a
-            adj[a] = row
+        verts = common[e]
+        adj = _cayley_adjacency(verts, n, [r >= i for r in rank])
         family.append(
             DistanceGraph(n, m, "delta", verts, adj, meta={"anchor": e, "class_rank": i})
         )
@@ -201,19 +194,17 @@ class _BudgetExpired(Exception):
 
 
 class _SearchState:
-    __slots__ = ("best_size", "best_clique", "nodes", "lock")
+    __slots__ = ("best_size", "best_clique", "nodes")
 
     def __init__(self, size: int, clique: list[int]):
         self.best_size = size
         self.best_clique = clique
         self.nodes = 0
-        self.lock = threading.Lock()
 
     def offer(self, clique: list[int]) -> None:
-        with self.lock:
-            if len(clique) > self.best_size:
-                self.best_size = len(clique)
-                self.best_clique = clique
+        if len(clique) > self.best_size:
+            self.best_size = len(clique)
+            self.best_clique = clique
 
 
 def _greedy_clique(adj: list[int], v: int) -> list[int]:
@@ -282,14 +273,12 @@ def max_clique(
     g: DistanceGraph,
     budget: float | None = None,
     initial: list | None = None,
-    threads: int = 1,
 ) -> CliqueResult:
     """Exact maximum clique of the graph.
 
     ``initial`` may carry a known clique (as vertex labels) to seed the
     incumbent; it is verified before use.  On budget expiry the incumbent is
-    returned with ``exact=False``.  The final size does not depend on
-    ``threads``; the witness may.
+    returned with ``exact=False``.
     """
     start = time.monotonic()
     v = g.num_vertices
@@ -325,67 +314,14 @@ def max_clique(
 
     state = _SearchState(len(seed), list(seed))
     deadline = start + budget if budget is not None else None
-    full = (1 << v) - 1
     exact = True
-
-    if threads <= 1:
-        try:
-            _expand(adj, [], full, state, deadline)
-        except _BudgetExpired:
-            exact = False
-    else:
-        exact = _parallel_root(adj, full, state, deadline, threads)
+    try:
+        _expand(adj, [], (1 << v) - 1, state, deadline)
+    except _BudgetExpired:
+        exact = False
 
     witness = [g.labels[perm[i]] for i in state.best_clique]
     return CliqueResult(state.best_size, witness, state.nodes, time.monotonic() - start, exact)
-
-
-def _parallel_root(
-    adj: list[int], full: int, state: _SearchState, deadline: float | None, threads: int
-) -> bool:
-    """Split the root branches across worker threads sharing one incumbent."""
-    order: list[int] = []
-    uncolored = full
-    while uncolored:
-        q = uncolored
-        while q:
-            b = q & -q
-            u = b.bit_length() - 1
-            order.append(u)
-            uncolored ^= b
-            q = (q ^ b) & ~adj[u]
-    tasks = []
-    cur = full
-    for u in reversed(order):
-        cur ^= 1 << u
-        tasks.append((u, cur & adj[u]))
-
-    expired = [False]
-    pos = [0]
-    pos_lock = threading.Lock()
-
-    def worker() -> None:
-        while True:
-            with pos_lock:
-                if pos[0] >= len(tasks):
-                    return
-                u, sub = tasks[pos[0]]
-                pos[0] += 1
-            try:
-                if sub:
-                    _expand(adj, [u], sub, state, deadline)
-                elif state.best_size < 1:
-                    state.offer([u])
-            except _BudgetExpired:
-                expired[0] = True
-                return
-
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    return not expired[0]
 
 
 def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
@@ -404,29 +340,29 @@ def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
     return [(u,) + (0,) * (m - 1) for u in range(1, n)]
 
 
-def _solve_rooted(n: int, m: int, budget: float | None, threads: int) -> int:
+def _solve_rooted(n: int, m: int, budget: float | None) -> int:
     g = build_rooted(n, m)
-    res = max_clique(g, budget=budget, initial=_seed_for_rooted(n, m), threads=threads)
+    res = max_clique(g, budget=budget, initial=_seed_for_rooted(n, m))
     if not res.exact:
         raise SearchTimeout(f"I({n},{m}) rooted search hit budget", 1 + res.size)
     return 1 + res.size
 
 
-def _solve_delta(n: int, m: int, budget: float | None, threads: int) -> int:
+def _solve_delta(n: int, m: int, budget: float | None) -> int:
     family = build_delta_family(n, m)
     if not family:
-        return _solve_rooted(n, m, budget, threads)
+        return _solve_rooted(n, m, budget)
     best = 2
     for g in family:
-        res = max_clique(g, budget=budget, threads=threads)
+        res = max_clique(g, budget=budget)
         if not res.exact:
             raise SearchTimeout(f"I({n},{m}) delta-family search hit budget", max(best, 2 + res.size))
         best = max(best, 2 + res.size)
     return best
 
 
-def _solve_full(n: int, m: int, budget: float | None, threads: int) -> int:
-    res = max_clique(build_full(n, m), budget=budget, threads=threads)
+def _solve_full(n: int, m: int, budget: float | None) -> int:
+    res = max_clique(build_full(n, m), budget=budget)
     if not res.exact:
         raise SearchTimeout(f"I({n},{m}) full search hit budget", res.size)
     return res.size
@@ -438,7 +374,6 @@ def I_of(
     strategy: str = "auto",
     use_cartesian: bool = True,
     budget: float | None = None,
-    threads: int = 1,
 ) -> int:
     """Exact maximum cardinality of an integral point set over Z_n^m.
 
@@ -452,11 +387,11 @@ def I_of(
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be positive")
     if strategy == "full":
-        return _solve_full(n, m, budget, threads)
+        return _solve_full(n, m, budget)
     if strategy == "rooted":
-        return _solve_rooted(n, m, budget, threads)
+        return _solve_rooted(n, m, budget)
     if strategy == "delta":
-        return _solve_delta(n, m, budget, threads)
+        return _solve_delta(n, m, budget)
     if strategy != "auto":
         raise InvalidInputError(f"unknown strategy {strategy!r}")
 
@@ -470,15 +405,27 @@ def I_of(
     if use_cartesian:
         from .modring import factorize
 
-        factors = factorize(n)
+        factors = [p**r for p, r in factorize(n)]
         if len(factors) > 1:
             out = 1
-            for p, r in factors:
-                out *= I_of(p**r, m, "auto", use_cartesian, budget, threads)
+            for pos, q in enumerate(factors):
+                try:
+                    out *= I_of(q, m, "auto", use_cartesian, budget)
+                except SearchTimeout as exc:
+                    # finished factors are exact; each remaining factor q has
+                    # the axis line, so I(q, m) >= q
+                    bound = out * exc.lower_bound
+                    for rest in factors[pos + 1 :]:
+                        bound *= rest
+                    if m == 2:
+                        from .reductions import conjectured_I2
+
+                        bound = max(bound, conjectured_I2(n))
+                    raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
             return out
 
     if n % 2 == 0:
         from .reductions import even_reduction_value
 
-        return even_reduction_value(n, m, budget=budget, threads=threads)
-    return _solve_rooted(n, m, budget, threads)
+        return even_reduction_value(n, m, budget=budget)
+    return _solve_rooted(n, m, budget)

@@ -52,14 +52,6 @@ def point_index(p: Point, n: int) -> int:
     return idx
 
 
-def index_point(idx: int, n: int, m: int) -> Point:
-    coords = []
-    for _ in range(m):
-        coords.append(idx % n)
-        idx //= n
-    return tuple(reversed(coords))
-
-
 @dataclass(frozen=True)
 class LineTable:
     """Per-modulus cyclic-line structure for exact collinearity over Z_n^2.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cliquegraph import DistanceGraph, _all_points, max_clique
+from .cliquegraph import DistanceGraph, _all_points, _cayley_adjacency, max_clique
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
 from .geometry import Point, is_integral
 from .modring import factorize, is_prime, omega, squares
@@ -132,17 +132,16 @@ def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
         raise InvalidInputError(f"even reduction needs an even modulus, got {two_n}")
     n = two_n // 2
     points = _all_points(n, m)
+    # Squareness of the weight depends on u - v only mod n, so the graph is a
+    # Cayley graph of Z_n^m.  Adding n to one difference adds 2dn + n^2 = n^2
+    # (mod 2n) to the weight.  For even n, n^2 = 0 (mod 2n).  For odd n,
+    # n^2 = n (mod 2n): the weight keeps its residue mod n and changes mod 2,
+    # and since Z_2n = Z_2 x Z_n with every residue mod 2 a square, squareness
+    # mod 2n equals squareness mod n.
     sq = squares(two_n).squares
-    v = len(points)
-    adj = [0] * v
-    for i in range(v):
-        pi = points[i]
-        row = adj[i]
-        for j in range(i + 1, v):
-            if even_weight(pi, points[j], two_n) in sq:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
+    zero = (0,) * m
+    table = [even_weight(d, zero, two_n) in sq for d in points]
+    adj = _cayley_adjacency(points, n, table)
     return DistanceGraph(two_n, m, "even", points, adj, meta={"half_modulus": n})
 
 
@@ -159,11 +158,9 @@ def _even_seed(two_n: int, m: int) -> list[Point]:
     return [(u,) + (0,) * (m - 1) for u in range(n)]
 
 
-def even_reduction_value(
-    two_n: int, m: int, budget: float | None = None, threads: int = 1
-) -> int:
+def even_reduction_value(two_n: int, m: int, budget: float | None = None) -> int:
     g = even_reduction_graph(two_n, m)
-    res = max_clique(g, budget=budget, initial=_even_seed(two_n, m), threads=threads)
+    res = max_clique(g, budget=budget, initial=_even_seed(two_n, m))
     if not res.exact:
         raise SearchTimeout(f"I({two_n},{m}) even reduction hit budget", (2**m) * res.size)
     return (2**m) * res.size
@@ -182,32 +179,25 @@ def hamming_predicate_I3(m: int) -> DistanceGraph:
     if m < 1:
         raise InvalidInputError("dimension must be positive")
     points = _all_points(3, m)
-    return DistanceGraph(3, m, "hamming", points, _hamming_adj(points))
+    return DistanceGraph(3, m, "hamming", points, _cayley_adjacency(points, 3, _hamming_table(m)))
 
 
-def hamming_I3_value(m: int, budget: float | None = None, threads: int = 1) -> int:
+def hamming_I3_value(m: int, budget: float | None = None) -> int:
     """I(3, m) via the Hamming formulation, rooted at 0 by translation symmetry."""
-    points = [p for p in _all_points(3, m) if any(p) and sum(1 for c in p if c) % 3 != 2]
-    sq_ok = _hamming_adj(points)
-    g = DistanceGraph(3, m, "hamming", points, sq_ok, meta={"root": (0,) * m})
-    res = max_clique(g, budget=budget, threads=threads)
+    table = _hamming_table(m)
+    points = [p for p, good in zip(_all_points(3, m), table) if good and any(p)]
+    adj = _cayley_adjacency(points, 3, table)
+    g = DistanceGraph(3, m, "hamming", points, adj, meta={"root": (0,) * m})
+    res = max_clique(g, budget=budget)
     if not res.exact:
         raise SearchTimeout(f"I(3,{m}) hamming search hit budget", 1 + res.size)
     return 1 + res.size
 
 
-def _hamming_adj(points: list[Point]) -> list[int]:
-    v = len(points)
-    adj = [0] * v
-    for i in range(v):
-        pi = points[i]
-        row = adj[i]
-        for j in range(i + 1, v):
-            if hamming_distance(pi, points[j]) % 3 != 2:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
-    return adj
+def _hamming_table(m: int) -> list[bool]:
+    """table[point_index(d)]: the Hamming weight of d in Z_3^m is not 2 mod 3."""
+    zero = (0,) * m
+    return [hamming_distance(d, zero) % 3 != 2 for d in _all_points(3, m)]
 
 
 def ilig_set(p: int) -> list[Point]:
@@ -297,9 +287,7 @@ class ConjectureReport:
         return [e.n for e in self.entries if e.tight is None]
 
 
-def verify_conjecture(
-    n_max: int, budget: float | None = None, threads: int = 1, n_min: int = 2
-) -> ConjectureReport:
+def verify_conjecture(n_max: int, budget: float | None = None, n_min: int = 2) -> ConjectureReport:
     """Compare exact I(n, 2) against the best construction bound for n <= n_max.
 
     Each n is recomputed from scratch (prime-power factors by clique search);
@@ -311,7 +299,7 @@ def verify_conjecture(
     for n in range(n_min, n_max + 1):
         conj, tag = conjectured_I2_tag(n)
         try:
-            exact = I_of(n, 2, budget=budget, threads=threads)
+            exact = I_of(n, 2, budget=budget)
             entries.append(ConjectureEntry(n, conj, tag, exact, exact == conj))
         except SearchTimeout:
             entries.append(ConjectureEntry(n, conj, tag, None, None))

@@ -221,7 +221,6 @@ def test_criterion_11_solver_trust():
         return best[0]
 
     rng = random.Random(424242)
-    thread_checks = 0
     for trial in range(50):
         v = rng.randint(5, 40)
         p = rng.uniform(0.2, 0.8)
@@ -234,10 +233,6 @@ def test_criterion_11_solver_trust():
         g = DistanceGraph(0, 0, "random", list(range(v)), adj)
         want = naive(adj, v)
         assert max_clique(g).size == want, trial
-        if trial % 5 == 0:
-            sizes = {max_clique(g, threads=t).size for t in (1, 2, 8)}
-            assert sizes == {want}
-            thread_checks += 1
 
     for n in range(2, 9):
         for m in (1, 2, 3):
@@ -249,6 +244,5 @@ def test_criterion_11_solver_trust():
     report(
         11,
         elapsed,
-        f"solver matches naive enumeration on 50 graphs, thread counts agree on {thread_checks}, "
-        "graph variants agree for n <= 8, m <= 3",
+        "solver matches naive enumeration on 50 graphs, graph variants agree for n <= 8, m <= 3",
     )

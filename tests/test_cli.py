@@ -108,6 +108,21 @@ def test_value_uses_cache(tmp_path, capsys):
     assert out.strip() == "99"
 
 
+def test_cross_check_bypasses_cache(tmp_path, capsys):
+    path = str(tmp_path / "cache.json")
+    code, out, _ = run(["value", "--n", "9", "--m", "2", "--cache", path], capsys)
+    assert code == 0 and out.strip() == "27"
+    code, out, _ = run(
+        ["value", "--n", "9", "--m", "2", "--variant", "full", "--no-cartesian", "--json",
+         "--cache", path],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["variant"] == "full"
+    assert data["value"] == 27
+
+
 def test_table2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["table", "--which", "2", "--max-n", "12"], capsys)

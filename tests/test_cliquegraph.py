@@ -12,7 +12,7 @@ from ringpoints.cliquegraph import (
     max_clique,
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
-from ringpoints.geometry import is_integral
+from ringpoints.geometry import delta, is_integral
 
 
 def complete_graph(v):
@@ -72,15 +72,6 @@ def test_solver_against_naive_oracle():
                 assert (g.adj[idx[a]] >> idx[b]) & 1
 
 
-def test_thread_count_independence():
-    rng = random.Random(777)
-    for _ in range(12):
-        v = rng.randint(10, 36)
-        g = random_graph(rng, v, rng.uniform(0.3, 0.7))
-        sizes = {max_clique(g, threads=t).size for t in (1, 2, 8)}
-        assert len(sizes) == 1
-
-
 def test_initial_clique_must_be_valid():
     g = random_graph(random.Random(1), 12, 0.3)
     # find a non-edge
@@ -130,7 +121,7 @@ def test_build_rooted_examples():
 
 
 def test_graph_edges_match_is_integral():
-    for n, m in ((3, 2), (4, 2), (5, 2), (3, 3)):
+    for n, m in ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3), (3, 4)):
         g = build_full(n, m)
         for i in range(g.num_vertices):
             for j in range(i + 1, g.num_vertices):
@@ -149,13 +140,19 @@ def test_delta_family_consistency():
 
 
 def test_delta_family_structure():
-    family = build_delta_family(5, 2)
-    assert family, "Z_5^2 has integral classes"
-    for g in family:
-        anchor = g.meta["anchor"]
-        for label in g.labels:
-            assert is_integral(label, (0, 0), 5)
-            assert is_integral(label, anchor, 5)
+    for n in (5, 6):
+        family = build_delta_family(n, 2)
+        assert family, f"Z_{n}^2 has integral classes"
+        rank = {g.meta["anchor"]: g.meta["class_rank"] for g in family}
+        for g in family:
+            anchor = g.meta["anchor"]
+            for label in g.labels:
+                assert is_integral(label, (0, 0), n)
+                assert is_integral(label, anchor, n)
+            for i, u in enumerate(g.labels):
+                for j, w in enumerate(g.labels):
+                    edge = (g.adj[i] >> j) & 1 == 1
+                    assert edge == (rank.get(delta(u, w, n), -1) >= g.meta["class_rank"])
 
 
 def test_I_of_closed_forms():
@@ -184,6 +181,14 @@ def test_I_of_timeout_carries_bound():
     with pytest.raises(SearchTimeout) as exc_info:
         I_of(47, 2, budget=0.05)
     assert exc_info.value.lower_bound >= 1
+
+
+def test_I_of_timeout_bound_spans_factors():
+    # 159 = 3 * 53: the bound multiplies the finished factor and never falls
+    # below the construction
+    with pytest.raises(SearchTimeout) as exc_info:
+        I_of(159, 2, budget=0.01)
+    assert exc_info.value.lower_bound >= 159
 
 
 def test_even_divisibility():

@@ -1,9 +1,11 @@
 import pytest
 
-from ringpoints.cliquegraph import I_of, max_clique
+from ringpoints.cliquegraph import I_of, _integral_diff_table, max_clique
 from ringpoints.errors import InvalidInputError, NotApplicableError
 from ringpoints.geometry import is_collinear, is_integral, is_set_collinear
+from ringpoints.modring import squares
 from ringpoints.reductions import (
+    _hamming_table,
     bound_report,
     cartesian_compose,
     conjectured_I2,
@@ -11,6 +13,7 @@ from ringpoints.reductions import (
     even_reduction_value,
     even_weight,
     hamming_I3_value,
+    hamming_distance,
     hamming_predicate_I3,
     ilig_set,
     lemma1_bound,
@@ -98,6 +101,20 @@ def test_even_reduction_graph():
         even_reduction_graph(7, 2)
 
 
+def test_even_reduction_graph_edges_match_weight():
+    # odd half moduli 3 and 5 pin the shift argument: the weight moves by n
+    # per wrapped coordinate, which keeps squareness mod 2n
+    for two_n, m in ((6, 2), (10, 2), (12, 2), (8, 3)):
+        g = even_reduction_graph(two_n, m)
+        sq = squares(two_n).squares
+        for i in range(g.num_vertices):
+            assert not (g.adj[i] >> i) & 1
+            for j in range(i + 1, g.num_vertices):
+                edge = (g.adj[i] >> j) & 1 == 1
+                assert edge == (even_weight(g.labels[i], g.labels[j], two_n) in sq), (two_n, i, j)
+                assert edge == ((g.adj[j] >> i) & 1 == 1)
+
+
 def test_even_reduction_matches_direct():
     for two_n in (2, 4, 6, 8):
         for m in (1, 2, 3):
@@ -115,8 +132,19 @@ def test_hamming_graph():
     g = hamming_predicate_I3(2)
     assert g.num_vertices == 9
     assert max_clique(g).size == 3
+    for m in (2, 3, 4):
+        g = hamming_predicate_I3(m)
+        for i in range(g.num_vertices):
+            for j in range(g.num_vertices):
+                edge = (g.adj[i] >> j) & 1 == 1
+                assert edge == (i != j and hamming_distance(g.labels[i], g.labels[j]) % 3 != 2)
     assert hamming_I3_value(2) == 3
     assert hamming_I3_value(4) == 9
+
+
+def test_hamming_table_is_integral_table():
+    for m in range(1, 7):
+        assert _hamming_table(m) == _integral_diff_table(3, m), m
 
 
 def test_hamming_matches_direct():
