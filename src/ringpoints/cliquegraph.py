@@ -14,7 +14,10 @@ graphs of ``reductions`` use the same builder.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds, vertices preordered by descending degree.  Adjacency rows are
-Python ints used as bit vectors, which keeps the inner loops in C.
+Python ints used as bit vectors, which keeps the inner loops in C.  Graphs
+rooted at 0 are searched with orbit branching: unit scalings, coordinate
+permutations and sign changes fix 0 and keep integrality, so the top level
+tries one vertex per orbit of the group they generate.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from .geometry import Point, delta, is_integral_delta, point_index
@@ -273,11 +277,17 @@ def max_clique(
     g: DistanceGraph,
     budget: float | None = None,
     initial: list | None = None,
+    orbits: list[list[int]] | None = None,
 ) -> CliqueResult:
     """Exact maximum clique of the graph.
 
     ``initial`` may carry a known clique (as vertex labels) to seed the
-    incumbent; it is verified before use.  On budget expiry the incumbent is
+    incumbent; it is verified before use.  ``orbits`` may partition the vertex
+    indices into the orbits of a group of automorphisms of the graph; the top
+    level then branches on one representative per orbit, largest orbit first.
+    A clique meets some first orbit O in that order, and an automorphism moves
+    it onto O's representative while keeping it off the earlier orbits, so
+    each branch drops those orbits.  On budget expiry the incumbent is
     returned with ``exact=False``.
     """
     start = time.monotonic()
@@ -316,12 +326,56 @@ def max_clique(
     deadline = start + budget if budget is not None else None
     exact = True
     try:
-        _expand(adj, [], (1 << v) - 1, state, deadline)
+        if orbits is None:
+            _expand(adj, [], (1 << v) - 1, state, deadline)
+        else:
+            remaining = (1 << v) - 1
+            for orbit in sorted(orbits, key=len, reverse=True):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _BudgetExpired
+                members = [inv[i] for i in orbit]
+                rep = min(members)
+                sub = remaining & adj[rep]
+                if sub:
+                    _expand(adj, [rep], sub, state, deadline)
+                elif state.best_size < 1:
+                    state.offer([rep])
+                for i in members:
+                    remaining &= ~(1 << i)
     except _BudgetExpired:
         exact = False
 
     witness = [g.labels[perm[i]] for i in state.best_clique]
     return CliqueResult(state.best_size, witness, state.nodes, time.monotonic() - start, exact)
+
+
+def _rooted_orbits(points: list[Point], n: int) -> list[list[int]]:
+    """Orbits of the maps fixing 0 that keep integrality, as index lists.
+
+    Unit scalings multiply every squared distance by a unit square, and
+    coordinate permutations and sign changes keep it (and Hamming weight), so
+    the group they generate acts on every graph rooted at 0 here.  Orbits are
+    closed under one sign change, a cyclic shift, a transposition and the
+    unit scalings, which generate it.
+    """
+    gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
+    gens += [lambda p, u=u: tuple(u * c % n for c in p) for u in range(2, n) if gcd(u, n) == 1]
+    index = {p: i for i, p in enumerate(points)}
+    seen = [False] * len(points)
+    orbits = []
+    for i in range(len(points)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:  # the list grows while it is walked
+            for gen in gens:
+                k = index[gen(points[j])]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        orbits.append(orbit)
+    return orbits
 
 
 def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
@@ -342,7 +396,9 @@ def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
 
 def _solve_rooted(n: int, m: int, budget: float | None) -> int:
     g = build_rooted(n, m)
-    res = max_clique(g, budget=budget, initial=_seed_for_rooted(n, m))
+    res = max_clique(
+        g, budget=budget, initial=_seed_for_rooted(n, m), orbits=_rooted_orbits(g.labels, n)
+    )
     if not res.exact:
         raise SearchTimeout(f"I({n},{m}) rooted search hit budget", 1 + res.size)
     return 1 + res.size

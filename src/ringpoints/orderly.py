@@ -16,11 +16,11 @@ are scanned from the witness realization.  Keeping exactly the semi-canonical
 extensions makes the enumeration exhaustive without isomorph duplication among
 canonical representatives.
 
-Two engines share this machinery: extend_level materializes whole levels
-(useful for counts, dumps, and cross-checks), while max_cardinality walks the
-tree of canonical matrices depth first with cardinality pruning, which reaches
-the published maxima at moduli where full levels would not fit in time or
-memory.
+Two engines share the canonical triangles: extend_level materializes whole
+levels (useful for counts, dumps, and cross-checks), while max_cardinality
+runs a clique search with greedy-coloring bounds around each canonical
+triangle, which reaches the published maxima at moduli where full levels
+would not fit in time or memory.
 """
 
 from __future__ import annotations
@@ -175,37 +175,17 @@ def _ordering_exceeds(
     return rec([], 0)
 
 
-def is_canonical(dm: DeltaMatrix) -> bool:
-    """No simultaneous row/column permutation yields a larger key."""
-    return not _ordering_exceeds(dm, matrix_key(dm), len(dm))
-
-
-def is_semi_canonical(dm: DeltaMatrix) -> bool:
-    """No permutation yields a larger key once the last row and column are dropped."""
-    return not _ordering_exceeds(dm, reduced_key(dm), len(dm) - 1)
-
-
-def _is_canonical_g(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...]) -> bool:
-    """Canonicity under row/column permutations combined with class relabelings."""
+def is_canonical(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...] = ()) -> bool:
+    """No simultaneous row/column permutation, alone or combined with one of
+    the class ``relabelings``, yields a larger key."""
     target = matrix_key(dm)
-    r = len(dm)
-    if _ordering_exceeds(dm, target, r):
-        return False
-    for sigma in relabelings:
-        if _ordering_exceeds(dm, target, r, sigma):
-            return False
-    return True
+    return not any(_ordering_exceeds(dm, target, len(dm), s) for s in (None, *relabelings))
 
 
-def _is_semi_canonical_g(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...]) -> bool:
+def is_semi_canonical(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...] = ()) -> bool:
+    """As ``is_canonical`` once the last row and column are dropped."""
     target = reduced_key(dm)
-    length = len(dm) - 1
-    if _ordering_exceeds(dm, target, length):
-        return False
-    for sigma in relabelings:
-        if _ordering_exceeds(dm, target, length, sigma):
-            return False
-    return True
+    return not any(_ordering_exceeds(dm, target, len(dm) - 1, s) for s in (None, *relabelings))
 
 
 def brute_canonical_key(dm: DeltaMatrix) -> tuple[int, ...]:
@@ -232,7 +212,7 @@ class PointSetRecord:
 def _make_record(
     matrix: DeltaMatrix, witness: tuple[Point, ...], relabelings: tuple[tuple[int, ...], ...]
 ) -> PointSetRecord:
-    return PointSetRecord(matrix, witness, matrix_key(matrix), _is_canonical_g(matrix, relabelings))
+    return PointSetRecord(matrix, witness, matrix_key(matrix), is_canonical(matrix, relabelings))
 
 
 def delta_matrix(points: tuple[Point, ...], n: int, table: EdgeClassTable | None = None) -> DeltaMatrix:
@@ -322,7 +302,7 @@ def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> l
             seen.add(matrix)
             if filtered and is_collinear((0, 0), p2, p3, n):
                 continue
-            if _is_semi_canonical_g(matrix, table.relabelings):
+            if is_semi_canonical(matrix, table.relabelings):
                 out[matrix] = _make_record(matrix, ((0, 0), p2, p3), table.relabelings)
     return sorted(out.values(), key=lambda rec: rec.key)
 
@@ -503,9 +483,9 @@ def extend_level(
                 matrix = tuple(
                     tuple(x1.matrix[i]) + (new_row[i],) for i in range(r)
                 ) + (new_row + (0,),)
-                if _is_semi_canonical_g(matrix, table.relabelings):
+                if is_semi_canonical(matrix, table.relabelings):
                     out[ykey] = PointSetRecord(
-                        matrix, witness + (q,), ykey, _is_canonical_g(matrix, table.relabelings)
+                        matrix, witness + (q,), ykey, is_canonical(matrix, table.relabelings)
                     )
             if stats is not None and found > 2:
                 stats.glue_wide_results += 1
@@ -553,20 +533,24 @@ def generate_levels(
 
 
 def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point, ...]]:
-    """Exact maximum cardinality by depth-first canonical augmentation.
+    """Exact maximum cardinality by a clique search around each canonical triangle.
 
-    Canonical matrices form a tree under removal of the last point (a
-    canonical matrix has a canonical leading block), so a depth-first walk
-    over canonical extensions visits every isomorphism class exactly once.
-    Since only the maximum is wanted, a branch is cut when its point count
-    plus its surviving candidate count cannot beat the incumbent; the bound is
-    sound because every completion of the class consists of points compatible
-    with the current witness, the position predicates being invariant under
-    the isometries that relate realizations of one matrix.
+    A canonical matrix leads with a canonical triangle, and realizations of
+    one matrix differ by isometries that keep the position predicates, so a
+    copy of every set of three or more points extends the witness of a
+    ``seed_L3`` record.  The leading entry ``key[0]`` of a canonical matrix
+    is its largest entry under every relabeling, so the copy only uses
+    admissible classes: ``sigma[c] <= key[0]`` for the identity and every
+    relabeling ``sigma``.
 
-    Candidates carry their difference indices, class row, and (for the circle
-    filter) bisector masks to the current witness, so each level of descent
-    only computes the increments contributed by the new point.
+    Candidates are the points at admissible distances from the witness that
+    pass the position filters with it; two are adjacent when their distance
+    is admissible and they pass the filters with the witness.  The extra
+    points form a clique, bounded by greedy colorings as in
+    ``cliquegraph.max_clique``; lines through two chosen points, and in
+    general mode circles through three, drop candidates as points are
+    chosen.  Seeds run in descending key order, as large leading classes
+    admit the most candidates and give a large incumbent early.
     """
     from .geometry import line_table
 
@@ -577,150 +561,154 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
+    ncls = len(table.classes)
 
     seeds = [rec for rec in seed_L3(n, mode, table) if rec.canonical]
-    best = 0
-    best_witness: tuple[Point, ...] = ()
+    best = 3 if seeds else 0
+    best_witness: tuple[Point, ...] = seeds[-1].witness if seeds else ()
     nodes = 0
 
-    # candidate entries: (point, diff indices to witness, class row, bisector masks)
-    def seed_candidates(witness: tuple[Point, ...]) -> list[tuple]:
-        out = []
+    def check_budget() -> None:
+        if budget is not None and time.monotonic() - start > budget:
+            raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best)
+
+    def seed_candidates(witness: tuple[Point, ...], allowed: list[bool]) -> tuple[list, ...]:
+        """Candidate points, their difference indices to the witness and, in
+        general mode, their bisector unions and pairwise overlaps with it."""
+        points, diffs, spans, pairs = [], [], [], []
         w1, w2, w3 = witness
         for x in range(n):
             for y in range(n):
-                p = (x, y)
-                if p in witness:
-                    continue
                 d1 = ((w1[0] - x) % n) * n + (w1[1] - y) % n
                 d2 = ((w2[0] - x) % n) * n + (w2[1] - y) % n
                 d3 = ((w3[0] - x) % n) * n + (w3[1] - y) % n
-                c1, c2, c3 = cls_of[d1], cls_of[d2], cls_of[d3]
-                if c1 <= 0 or c2 <= 0 or c3 <= 0:
+                if not (allowed[cls_of[d1]] and allowed[cls_of[d2]] and allowed[cls_of[d3]]):
                     continue
                 if filtered and (
                     (rows[d1] >> d2) & 1 or (rows[d1] >> d3) & 1 or (rows[d2] >> d3) & 1
                 ):
                     continue
+                p = (x, y)
                 if circles:
                     b1 = _point_bisector(p, w1, n)
                     b2 = _point_bisector(p, w2, n)
                     b3 = _point_bisector(p, w3, n)
                     if b1 & b2 & b3:
                         continue
-                    bis = (b1, b2, b3)
-                else:
-                    bis = ()
-                out.append((p, (d1, d2, d3), (c1, c2, c3), bis))
-        return out
+                    spans.append(b1 | b2 | b3)
+                    pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
+                points.append(p)
+                diffs.append((d1, d2, d3))
+        return points, diffs, spans, pairs
 
-    def descend(
-        rec_matrix: DeltaMatrix,
-        key: tuple[int, ...],
-        witness: tuple[Point, ...],
-        cands: list[tuple],
-        ents: frozenset,
-    ) -> None:
-        nonlocal best, best_witness, nodes
-        nodes += 1
-        r = len(witness)
-        if r > best:
-            best = r
-            best_witness = witness
-        if r + len(cands) <= best:
-            return
-        if budget is not None and nodes % 64 == 0 and time.monotonic() - start > budget:
-            raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best)
-        last_col = tuple(rec_matrix[i][r - 1] for i in range(r - 1))
-        target0 = key[0]
-        sigma_max = [max(sigma[e] for e in ents) for sigma in relabelings]
-        seen_rows: set[tuple[int, ...]] = set()
-        children = []
-        for q, _dlist, trow, _bis in cands:
-            # necessary conditions: the class row may not carry an entry larger
-            # than the leading key entry, nor beat the last column when the new
-            # point is swapped in front of the previous one
-            if max(trow) > target0 or trow[: r - 1] > last_col:
-                continue
-            if trow in seen_rows:
-                continue
-            seen_rows.add(trow)
-            row_classes = set(trow)
-            # relabelings whose image could still attain the leading entry
-            rejected = False
-            tying = []
-            for si, sigma in enumerate(relabelings):
-                m = sigma_max[si]
-                for c in row_classes:
-                    if sigma[c] > m:
-                        m = sigma[c]
-                if m > target0:
-                    rejected = True
-                    break
-                if m == target0:
-                    tying.append(sigma)
-            if rejected:
-                continue
-            ykey = key + trow
-            matrix = tuple(tuple(rec_matrix[i]) + (trow[i],) for i in range(r)) + (
-                trow + (0,),
-            )
-            if _ordering_exceeds(matrix, ykey, r + 1):
-                continue
-            for sigma in tying:
-                if _ordering_exceeds(matrix, ykey, r + 1, sigma):
-                    rejected = True
-                    break
-            if rejected:
-                continue
-            # surviving extension: shrink the candidate pool against q
-            sub = []
-            qx, qy = q
-            for p, dlist_p, row_p, bis_p in cands:
-                if p == q:
-                    continue
-                dq = ((qx - p[0]) % n) * n + (qy - p[1]) % n
-                c = cls_of[dq]
-                if c <= 0:
+    for rec in reversed(seeds):
+        check_budget()
+        witness = rec.witness
+        top = rec.key[0]
+        # index -1 (non-integral difference) reads the trailing False
+        allowed = [
+            0 < c <= top and all(sigma[c] <= top for sigma in relabelings) for c in range(ncls)
+        ] + [False]
+        points, diffs, spans, pairs = seed_candidates(witness, allowed)
+        size = len(points)
+        if 3 + size <= best:
+            continue
+
+        adj = [0] * size
+        for i in range(size):
+            px, py = p = points[i]
+            dl = diffs[i]
+            for j in range(i + 1, size):
+                qx, qy = points[j]
+                d = ((qx - px) % n) * n + (qy - py) % n
+                if not allowed[cls_of[d]]:
                     continue
                 if filtered:
-                    row_line = rows[dq]
-                    broken = False
-                    for dw in dlist_p:
-                        if (row_line >> dw) & 1:
-                            broken = True
-                            break
-                    if broken:
+                    row = rows[d]
+                    if (row >> dl[0]) & 1 or (row >> dl[1]) & 1 or (row >> dl[2]) & 1:
                         continue
-                if circles:
-                    bq = _point_bisector(p, q, n)
-                    broken = False
-                    for i in range(r):
-                        pair = bq & bis_p[i]
-                        if pair:
-                            for j in range(i + 1, r):
-                                if pair & bis_p[j]:
-                                    broken = True
-                                    break
-                            if broken:
-                                break
-                    if broken:
-                        continue
-                    sub.append((p, dlist_p + (dq,), row_p + (c,), bis_p + (bq,)))
-                else:
-                    sub.append((p, dlist_p + (dq,), row_p + (c,), bis_p))
-            children.append((matrix, ykey, witness + (q,), sub, ents | row_classes))
-        children.sort(key=lambda ch: -len(ch[3]))
-        for matrix, ykey, wit, sub, ents_child in children:
-            if len(wit) + len(sub) <= best:
-                continue
-            descend(matrix, ykey, wit, sub, ents_child)
+                if circles and _point_bisector(p, points[j], n) & pairs[i]:
+                    continue
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
 
-    for rec in seeds:
-        cands = seed_candidates(rec.witness)
-        if 3 + len(cands) <= best:
-            continue
-        descend(rec.matrix, rec.key, rec.witness, cands, frozenset(rec.key) | {0})
+        line_cache: dict[int, int] = {}
+
+        def line_mask(u: int, v: int) -> int:
+            """Candidates on the cyclic line through candidates u and v."""
+            mask = line_cache.get(u * size + v)
+            if mask is None:
+                ux, uy = points[u]
+                vx, vy = points[v]
+                row = rows[((vx - ux) % n) * n + (vy - uy) % n]
+                mask = 0
+                for j, (x, y) in enumerate(points):
+                    if (row >> (((x - ux) % n) * n + (y - uy) % n)) & 1:
+                        mask |= 1 << j
+                line_cache[u * size + v] = mask
+            return mask
+
+        chosen: list[int] = []
+
+        def descend(cand: int, spans: dict[int, int], pairs: dict[int, int]) -> None:
+            """Extend the chosen points by cliques inside ``cand``.
+
+            In general mode ``spans[p]`` is the union of the bisector masks of
+            candidate p with the points so far and ``pairs[p]`` the union of
+            their pairwise overlaps: p is concyclic with a new point v and two
+            earlier points iff bisector(p, v) meets ``pairs[p]``.
+            """
+            nonlocal best, best_witness, nodes
+            nodes += 1
+            r = 3 + len(chosen)
+            if r > best:
+                best = r
+                best_witness = witness + tuple(points[i] for i in chosen)
+            if r + cand.bit_count() <= best:
+                return
+            if nodes & 63 == 0:
+                check_budget()
+            # greedy coloring; vertices are branched on in reverse color order
+            order: list[tuple[int, int]] = []
+            uncolored = cand
+            color = 0
+            while uncolored:
+                color += 1
+                free = uncolored
+                while free:
+                    low = free & -free
+                    v = low.bit_length() - 1
+                    uncolored ^= low
+                    free = (free ^ low) & ~adj[v]
+                    order.append((v, color))
+            for v, color in reversed(order):
+                if r + color <= best:
+                    return
+                sub = cand & adj[v]
+                if filtered:
+                    for u in chosen:
+                        sub &= ~line_mask(u, v)
+                sub_spans: dict[int, int] = {}
+                sub_pairs: dict[int, int] = {}
+                if circles:
+                    vp = points[v]
+                    rest = sub
+                    while rest:
+                        low = rest & -rest
+                        p = low.bit_length() - 1
+                        rest ^= low
+                        bis = _point_bisector(points[p], vp, n)
+                        if bis & pairs[p]:
+                            sub ^= low
+                            continue
+                        sub_pairs[p] = pairs[p] | (bis & spans[p])
+                        sub_spans[p] = spans[p] | bis
+                chosen.append(v)
+                descend(sub, sub_spans, sub_pairs)
+                chosen.pop()
+                cand ^= 1 << v
+
+        descend((1 << size) - 1, dict(enumerate(spans)), dict(enumerate(pairs)))
     return best, best_witness
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cliquegraph import DistanceGraph, _all_points, _cayley_adjacency, max_clique
+from .cliquegraph import DistanceGraph, _all_points, _cayley_adjacency, _rooted_orbits, max_clique
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
 from .geometry import Point, is_integral
 from .modring import factorize, is_prime, omega, squares
@@ -183,12 +183,16 @@ def hamming_predicate_I3(m: int) -> DistanceGraph:
 
 
 def hamming_I3_value(m: int, budget: float | None = None) -> int:
-    """I(3, m) via the Hamming formulation, rooted at 0 by translation symmetry."""
+    """I(3, m) via the Hamming formulation, rooted at 0 by translation symmetry.
+
+    The top level branches once per Hamming weight: coordinate permutations
+    and sign changes fix 0 and move any point onto any other of its weight.
+    """
     table = _hamming_table(m)
     points = [p for p, good in zip(_all_points(3, m), table) if good and any(p)]
     adj = _cayley_adjacency(points, 3, table)
     g = DistanceGraph(3, m, "hamming", points, adj, meta={"root": (0,) * m})
-    res = max_clique(g, budget=budget)
+    res = max_clique(g, budget=budget, orbits=_rooted_orbits(points, 3))
     if not res.exact:
         raise SearchTimeout(f"I(3,{m}) hamming search hit budget", 1 + res.size)
     return 1 + res.size

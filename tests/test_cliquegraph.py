@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from ringpoints.cliquegraph import (
     build_rooted,
     delta_classes,
     max_clique,
+    _rooted_orbits,
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral
@@ -64,6 +66,8 @@ def test_solver_against_naive_oracle():
         g = random_graph(rng, v, rng.uniform(0.2, 0.8))
         res = max_clique(g)
         assert res.size == naive_max_clique(g.adj, v)
+        # singleton orbits (the trivial group) branch on every vertex in turn
+        assert max_clique(g, orbits=[[i] for i in range(v)]).size == res.size
         # witness is a clique of the reported size
         idx = [g.labels.index(x) for x in res.witness]
         assert len(idx) == res.size
@@ -194,6 +198,42 @@ def test_I_of_timeout_bound_spans_factors():
 def test_even_divisibility():
     for n, m in ((2, 2), (4, 2), (6, 2), (8, 2), (4, 3), (8, 3), (10, 2), (12, 2)):
         assert I_of(n, m) % (2**m) == 0
+
+
+def test_rooted_orbits_are_automorphism_orbits():
+    for n, m in ((5, 2), (9, 2), (12, 2), (4, 3), (3, 4)):
+        g = build_rooted(n, m)
+        orbits = _rooted_orbits(g.labels, n)
+        assert sorted(i for orbit in orbits for i in orbit) == list(range(g.num_vertices))
+        index = {p: i for i, p in enumerate(g.labels)}
+        for orbit in orbits:
+            members = set(orbit)
+            first = g.labels[orbit[0]]
+            for u in range(1, n):
+                if gcd(u, n) != 1:
+                    continue
+                image = [index[tuple(u * c % n for c in p)] for p in g.labels]
+                # the scaling is an automorphism and keeps the orbit
+                for i in range(g.num_vertices):
+                    for j in range(i + 1, g.num_vertices):
+                        assert (g.adj[i] >> j) & 1 == (g.adj[image[i]] >> image[j]) & 1
+                assert image[orbit[0]] in members
+            # sign changes and coordinate permutations keep the orbit too
+            assert index[tuple(reversed(first))] in members
+            assert index[((n - first[0]) % n,) + first[1:]] in members
+
+
+def test_orbit_branching_matches_plain_search():
+    for n, m in ((5, 2), (7, 2), (9, 2), (13, 2), (15, 2), (3, 3), (5, 3), (7, 3), (3, 4)):
+        g = build_rooted(n, m)
+        res = max_clique(g, orbits=_rooted_orbits(g.labels, n))
+        assert res.exact
+        assert res.size == max_clique(g).size, (n, m)
+        pts = list(res.witness) + [(0,) * m]
+        assert len(set(pts)) == res.size + 1
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                assert is_integral(pts[i], pts[j], n)
 
 
 def test_witness_pairwise_integral():

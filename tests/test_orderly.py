@@ -296,7 +296,8 @@ def test_max_cardinality_matches_clique_value():
 
 
 def test_max_cardinality_witness_valid():
-    for n, mode in ((8, "semi-general"), (10, "general"), (5, "any")):
+    cells = ((8, "semi-general"), (10, "general"), (5, "any"), (16, "semi-general"), (18, "general"))
+    for n, mode in cells:
         value, witness = max_cardinality_witness(n, mode)
         assert len(witness) == value
         assert len(set(witness)) == value

@@ -1,6 +1,13 @@
 import pytest
 
-from ringpoints.cliquegraph import I_of, _integral_diff_table, max_clique
+from ringpoints.cliquegraph import (
+    DistanceGraph,
+    I_of,
+    _cayley_adjacency,
+    _integral_diff_table,
+    _rooted_orbits,
+    max_clique,
+)
 from ringpoints.errors import InvalidInputError, NotApplicableError
 from ringpoints.geometry import is_collinear, is_integral, is_set_collinear
 from ringpoints.modring import squares
@@ -150,6 +157,23 @@ def test_hamming_table_is_integral_table():
 def test_hamming_matches_direct():
     for m in (2, 3, 4):
         assert hamming_I3_value(m) == I_of(3, m, strategy="rooted")
+
+
+def test_hamming_weight_orbits():
+    # the top-level branches of hamming_I3_value: one orbit per Hamming weight,
+    # and one branch per orbit finds the clique of the unbranched search
+    for m in (2, 3, 4, 5):
+        zero = (0,) * m
+        g = hamming_predicate_I3(m)
+        keep = [i for i, p in enumerate(g.labels) if any(p) and (g.adj[0] >> i) & 1]
+        points = [g.labels[i] for i in keep]
+        orbits = _rooted_orbits(points, 3)
+        weights = [{hamming_distance(points[i], zero) for i in orbit} for orbit in orbits]
+        assert all(len(w) == 1 for w in weights)
+        assert len(weights) == len({min(w) for w in weights})
+        adj = _cayley_adjacency(points, 3, _hamming_table(m))
+        rooted = DistanceGraph(3, m, "hamming", points, adj)
+        assert hamming_I3_value(m) == 1 + max_clique(rooted).size, m
 
 
 def test_ilig_set():
