@@ -20,8 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateError, InvalidInputError
-from .geometry import Point, is_integral
-from .modring import alpha, is_prime, squares
+from .geometry import Point, _int_det, is_integral
+from .modring import alpha, is_prime, sqrt_mod, squares
 
 DistMatrix = tuple[tuple[int, ...], ...]
 
@@ -79,7 +79,7 @@ class TriangleRealization:
             base = y3_sq_total
         else:
             base = y3_sq_total * pow(char, -1, p) % p
-        y3 = _sqrt_exhaustive(base, p)
+        y3 = sqrt_mod(base, p)
         assert y3 is not None  # base is a residue by the choice of char
         self.p = p
         self.sides = (a % p, b % p, c % p)
@@ -114,38 +114,6 @@ class TriangleRealization:
 def realize_triangle(a: int, b: int, c: int, p: int) -> TriangleRealization:
     """Coordinate realization of side lengths a, b, c over Z_p (see class)."""
     return TriangleRealization(a, b, c, p)
-
-
-def _sqrt_exhaustive(s: int, n: int) -> int | None:
-    s %= n
-    for y in range(n):
-        if y * y % n == s:
-            return y
-    return None
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in rows]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[size - 1][size - 1]
 
 
 def _as_matrix(d) -> DistMatrix:
@@ -260,7 +228,7 @@ def dist_matrix_from_points(points: list[Point], n: int) -> DistMatrix:
     for i in range(r):
         for j in range(i + 1, r):
             sq = sum((a - b) * (a - b) for a, b in zip(points[i], points[j])) % n
-            d = _sqrt_exhaustive(sq, n)
+            d = sqrt_mod(sq, n)
             if d is None:
                 raise InvalidInputError(f"points {points[i]}, {points[j]} not at integral distance")
             rows[i][j] = rows[j][i] = d

@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import point_index
 from .orderly import max_cardinality_witness
 from .reductions import (
+    best_construction,
     conjectured_I2,
     even_reduction_value,
     ilig_set,
@@ -279,11 +280,7 @@ def cmd_construct(args) -> int:
         points = ilig_set(n)
         bound = len(points)
     else:  # auto: best applicable construction
-        points, bound = lemma1_points(n)
-        if n % 4 == 2:
-            points2, bound2 = lemma2_points(n)
-            if bound2 > bound:
-                points, bound = points2, bound2
+        points, bound = best_construction(n)
     print(f"{len(points)} points (bound {bound}, best construction bound {conjectured_I2(n)})")
     for p in points:
         print(f"{p[0]} {p[1]}")

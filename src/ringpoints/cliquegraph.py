@@ -288,27 +288,27 @@ def max_clique(
     A clique meets some first orbit O in that order, and an automorphism moves
     it onto O's representative while keeping it off the earlier orbits, so
     each branch drops those orbits.  On budget expiry the incumbent is
-    returned with ``exact=False``.
+    returned with ``exact=False``.  A vertex's own bit in its adjacency row
+    is ignored: the relabelled copy clears it, so self-loops cannot stall the
+    greedy warm start.
     """
     start = time.monotonic()
     v = g.num_vertices
     if v == 0:
         return CliqueResult(0, [], 0, 0.0, True)
 
-    # relabel by descending degree for stronger greedy colorings
+    # relabel by descending degree for stronger greedy colorings: new row j
+    # reads old bit perm[j], permuted in C as a '0'/'1' string
     perm = sorted(range(v), key=lambda i: (-g.adj[i].bit_count(), i))
     inv = [0] * v
     for new, old in enumerate(perm):
         inv[old] = new
-    adj = [0] * v
-    for old in range(v):
-        row = g.adj[old]
-        new_row = 0
-        while row:
-            b = row & -row
-            row ^= b
-            new_row |= 1 << inv[b.bit_length() - 1]
-        adj[inv[old]] = new_row
+    high_first = perm[::-1]
+    adj = [
+        int(bytes(map(format(g.adj[old], f"0{v}b").encode()[::-1].__getitem__, high_first)), 2)
+        & ~(1 << new)
+        for new, old in enumerate(perm)
+    ]
 
     seed: list[int] = []
     if initial:
@@ -384,12 +384,7 @@ def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
 
     zero = (0,) * m
     if m == 2:
-        pts, _ = reductions.lemma1_points(n)
-        if n % 4 == 2:
-            pts2, _ = reductions.lemma2_points(n)
-            if len(pts2) > len(pts):
-                pts = pts2
-        return [p for p in pts if p != zero]
+        return [p for p in reductions.best_construction(n)[0] if p != zero]
     # axis line (u, 0, ..., 0); distances (u1-u2)^2 are squares for every n
     return [(u,) + (0,) * (m - 1) for u in range(1, n)]
 

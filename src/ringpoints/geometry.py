@@ -238,23 +238,29 @@ def concyclic_det(p1: Point, p2: Point, p3: Point, p4: Point, n: int) -> bool:
 
     Necessary for four points on a circle; not sufficient in general.
     """
-    rows = [(x * x + y * y, x, y, 1) for x, y in (p1, p2, p3, p4)]
-    return _det4(rows) % n == 0
+    rows = [[x * x + y * y, x, y, 1] for x, y in (p1, p2, p3, p4)]
+    return _int_det(rows) % n == 0
 
 
-def _det3(m: list[tuple[int, int, int]]) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _det4(m: list[tuple[int, int, int, int]]) -> int:
-    total = 0
+def _int_det(rows: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in rows]
+    size = len(a)
     sign = 1
-    for c in range(4):
-        minor = [tuple(row[k] for k in range(4) if k != c) for row in m[1:]]
-        total += sign * m[0][c] * _det3(minor)
-        sign = -sign
-    return total
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, size):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[size - 1][size - 1]

@@ -24,17 +24,6 @@ def _check_modulus(n: int) -> None:
         raise InvalidInputError(f"modulus {n} exceeds supported limit {MAX_MODULUS}")
 
 
-def reduce(x: int, n: int) -> int:
-    """Canonical representative of x in Z_n, i.e. x mod n in [0, n-1]."""
-    _check_modulus(n)
-    return x % n
-
-
-def lift(r: int) -> int:
-    """Canonical integer lift of a residue (the identity on [0, n-1])."""
-    return r
-
-
 def lee_weight(r: int, n: int) -> int:
     """Circular distance of the residue r to 0: min(r, n - r)."""
     _check_modulus(n)

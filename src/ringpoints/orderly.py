@@ -35,7 +35,6 @@ from .geometry import (
     DeltaVec,
     Point,
     delta,
-    is_cocircular,
     is_collinear,
     is_integral_delta,
 )
@@ -115,8 +114,8 @@ def matrix_key(dm: DeltaMatrix) -> tuple[int, ...]:
     return tuple(dm[i][j] for j in range(1, r) for i in range(j))
 
 
-def reduced_key(dm: DeltaMatrix) -> tuple[int, ...]:
-    """Key of the matrix with last row and column removed (a key prefix)."""
+def leading_key(dm: DeltaMatrix) -> tuple[int, ...]:
+    """Key of the leading block, the matrix without its last row and column (a key prefix)."""
     r = len(dm)
     return tuple(dm[i][j] for j in range(1, r - 1) for i in range(j))
 
@@ -184,7 +183,7 @@ def is_canonical(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...] = ())
 
 def is_semi_canonical(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...] = ()) -> bool:
     """As ``is_canonical`` once the last row and column are dropped."""
-    target = reduced_key(dm)
+    target = leading_key(dm)
     return not any(_ordering_exceeds(dm, target, len(dm) - 1, s) for s in (None, *relabelings))
 
 
@@ -314,72 +313,6 @@ class GenerationStats:
     glue_wide_results: int = 0  # glue outputs with more than two extensions
 
 
-def gamma_glue(
-    x1: PointSetRecord,
-    x2: PointSetRecord,
-    n: int,
-    table: EdgeClassTable | None = None,
-    mode: str = "any",
-    stats: GenerationStats | None = None,
-) -> list[PointSetRecord]:
-    """Glue two r-point records sharing their first r - 1 points.
-
-    The new point q is scanned from the sphere of x2's last-row class around
-    the first witness point, matched against the remaining common rows, and
-    required to be at integral distance to x1's last point.  Returns the
-    distinct extended records sorted by key (not yet semi-canonicity-filtered).
-    """
-    table = table or edge_classes(n)
-    if reduced_key(x1.matrix) != reduced_key(x2.matrix):
-        raise InvalidInputError("glue requires equal leading blocks")
-    if x2.key > x1.key:
-        raise InvalidInputError("glue requires x2 <= x1")
-    r = len(x1.matrix)
-    witness = x1.witness
-    target_row = x2.matrix[r - 1][: r - 1]
-    base = witness[0]
-    results: dict[DeltaMatrix, PointSetRecord] = {}
-    for s in table.spheres[target_row[0]]:
-        q = ((base[0] + s[0]) % n, (base[1] + s[1]) % n)
-        ok = True
-        for i in range(1, r - 1):
-            if table.index.get(delta(q, witness[i], n)) != target_row[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        d_last = delta(q, witness[r - 1], n)
-        c_last = table.index.get(d_last)
-        if c_last is None or c_last == 0:
-            continue
-        if mode in ("semi-general", "general"):
-            if any(
-                is_collinear(q, witness[i], witness[j], n)
-                for i in range(r)
-                for j in range(i + 1, r)
-            ):
-                continue
-        if mode == "general":
-            if any(
-                is_cocircular(q, witness[i], witness[j], witness[k], n)
-                for i in range(r)
-                for j in range(i + 1, r)
-                for k in range(j + 1, r)
-            ):
-                continue
-        new_row = target_row + (c_last,)
-        matrix = tuple(
-            tuple(x1.matrix[i]) + (new_row[i],) for i in range(r)
-        ) + (new_row + (0,),)
-        if matrix not in results:
-            results[matrix] = PointSetRecord(matrix, witness + (q,), matrix_key(matrix), False)
-    if stats is not None:
-        stats.glue_calls += 1
-        if len(results) > 2:
-            stats.glue_wide_results += 1
-    return sorted(results.values(), key=lambda rec: rec.key)
-
-
 def extend_level(
     level: list[PointSetRecord],
     n: int,
@@ -389,9 +322,12 @@ def extend_level(
 ) -> list[PointSetRecord]:
     """One pass of the generation: all semi-canonical (r+1)-records from level r.
 
-    Equivalent to collecting gamma_glue over all admissible (x1, x2) pairs and
-    keeping the semi-canonical results, but shares the per-x1 filter work and
-    dedups early through the key-prefix property key(y) = key(x1) + new row.
+    Each canonical x1 is glued with every x2 <= x1 of the same leading block:
+    the new point is scanned from the sphere of x2's last-row class around
+    x1's first witness point, must match x2's remaining row and sit at a
+    nonzero integral distance to x1's last point, and must pass the position
+    filters.  The filter work is shared per x1, and duplicates are dropped
+    early through the key-prefix property key(y) = key(x1) + new row.
     """
     from .geometry import line_table
 
@@ -404,7 +340,7 @@ def extend_level(
 
     buckets: dict[tuple[int, ...], list[PointSetRecord]] = defaultdict(list)
     for rec in level:
-        buckets[reduced_key(rec.matrix)].append(rec)
+        buckets[leading_key(rec.matrix)].append(rec)
 
     out: dict[tuple[int, ...], PointSetRecord] = {}
     seen: set[tuple[int, ...]] = set()
@@ -451,7 +387,7 @@ def extend_level(
             filter_cache[q] = ok
             return ok
 
-        for x2 in buckets[reduced_key(x1.matrix)]:
+        for x2 in buckets[leading_key(x1.matrix)]:
             if x2.key > x1.key:
                 continue
             if stats is not None:
@@ -495,7 +431,6 @@ def extend_level(
 def generate_levels(
     n: int,
     mode: str = "any",
-    budget: float | None = None,
     max_level: int | None = None,
     retain_all: bool = False,
 ) -> tuple[dict[int, list[PointSetRecord]], GenerationStats]:
@@ -507,7 +442,6 @@ def generate_levels(
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
-    start = time.monotonic()
     stats = GenerationStats()
     table = edge_classes(n)
     levels: dict[int, list[PointSetRecord]] = {}
@@ -523,8 +457,6 @@ def generate_levels(
         last = (r, current)
         if max_level is not None and r >= max_level:
             break
-        if budget is not None and time.monotonic() - start > budget:
-            raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", r)
         current = extend_level(current, n, mode, table, stats)
         r += 1
     if last is not None and not retain_all:

@@ -84,16 +84,20 @@ def _verify_integral(pts: list[Point], n: int) -> None:
 
 def conjectured_I2(n: int) -> int:
     """The conjecturally tight lower bound for I(n, 2): best applicable construction."""
-    best = lemma1_bound(n)
-    if n % 4 == 2:
-        best = max(best, lemma2_bound(n))
-    return best
+    return conjectured_I2_tag(n)[0]
 
 
 def conjectured_I2_tag(n: int) -> tuple[int, str]:
     if n % 4 == 2 and lemma2_bound(n) > lemma1_bound(n):
         return lemma2_bound(n), "lemma2"
     return lemma1_bound(n), "lemma1"
+
+
+def best_construction(n: int) -> tuple[list[Point], int]:
+    """The points and size of the construction ``conjectured_I2_tag`` names."""
+    if conjectured_I2_tag(n)[1] == "lemma2":
+        return lemma2_points(n)
+    return lemma1_points(n)
 
 
 def cartesian_compose(points_a: list[Point], a: int, points_b: list[Point], b: int) -> list[Point]:
@@ -149,12 +153,7 @@ def _even_seed(two_n: int, m: int) -> list[Point]:
     """Project a constructed integral point set over Z_{2n} into the weight graph."""
     n = two_n // 2
     if m == 2:
-        pts, _ = lemma1_points(two_n)
-        if two_n % 4 == 2:
-            pts2, _ = lemma2_points(two_n)
-            if len(pts2) > len(pts):
-                pts = pts2
-        return sorted({(x % n, y % n) for x, y in pts})
+        return sorted({(x % n, y % n) for x, y in best_construction(two_n)[0]})
     return [(u,) + (0,) * (m - 1) for u in range(n)]
 
 
@@ -234,35 +233,6 @@ def semi_general_upper(n: int) -> int:
         val = n * (1 + Fraction(1, p ** ((a + 2) // 2)) + Fraction(1, p**a))
         bounds.append(int(val))  # Fraction floors via int() for positive values
     return min(bounds)
-
-
-@dataclass
-class BoundReport:
-    """Best known bracket for a maximum, with provenance tags.
-
-    ``lower`` comes from an explicit construction, ``upper`` from the position
-    bounds; ``exact`` is filled when the search has pinned the value.
-    """
-
-    n: int
-    m: int
-    lower: int
-    lower_tag: str
-    upper: int | None = None
-    upper_tag: str | None = None
-    exact: int | None = None
-
-
-def bound_report(n: int, mode: str = "I") -> BoundReport:
-    """Bracket I(n, 2) by constructions, or the semi-general maximum by the
-    partition/projective/prime-power bounds."""
-    if mode == "I":
-        lower, tag = conjectured_I2_tag(n)
-        return BoundReport(n, 2, lower, tag, n * n, "point count")
-    if mode == "semi-general":
-        lower = 2 if n >= 2 else 1
-        return BoundReport(n, 2, lower, "point pair", semi_general_upper(n), "line partition")
-    raise InvalidInputError(f"no bounds for mode {mode!r}")
 
 
 @dataclass

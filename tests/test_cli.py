@@ -226,6 +226,12 @@ def test_construct_lemma1(capsys):
     assert out.startswith("24 points")
 
 
+def test_construct_auto_picks_best(capsys):
+    code, out, _ = run(["construct", "--n", "6"], capsys)
+    assert code == 0
+    assert out.startswith("12 points (bound 12, best construction bound 12)")
+
+
 def test_construct_ilig(capsys):
     code, out, _ = run(["construct", "--n", "13", "--lemma", "ilig", "--grid"], capsys)
     assert code == 0

@@ -68,6 +68,9 @@ def test_solver_against_naive_oracle():
         assert res.size == naive_max_clique(g.adj, v)
         # singleton orbits (the trivial group) branch on every vertex in turn
         assert max_clique(g, orbits=[[i] for i in range(v)]).size == res.size
+        # every row's own bit set (a self-loop per vertex) changes nothing
+        looped = DistanceGraph(0, 0, "test", g.labels, [row | 1 << i for i, row in enumerate(g.adj)])
+        assert max_clique(looped).size == res.size
         # witness is a clique of the reported size
         idx = [g.labels.index(x) for x in res.witness]
         assert len(idx) == res.size

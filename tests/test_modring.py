@@ -6,32 +6,10 @@ from ringpoints.modring import (
     factorize,
     is_prime,
     lee_weight,
-    lift,
     omega,
-    reduce,
     sqrt_mod,
     squares,
 )
-
-
-def test_reduce_examples():
-    assert reduce(14, 12) == 2
-    assert reduce(-1, 7) == 6
-    assert reduce(5, 1) == 0
-
-
-def test_reduce_rejects_zero_modulus():
-    with pytest.raises(InvalidInputError):
-        reduce(3, 0)
-
-
-def test_lift_round_trip():
-    assert lift(reduce(14, 12)) == 2
-    assert lift(reduce(0, 5)) == 0
-    assert lift(reduce(-3, 8)) == 5
-    for n in (1, 2, 7, 12):
-        for x in range(-2 * n, 2 * n):
-            assert reduce(lift(reduce(x, n)), n) == reduce(x, n)
 
 
 def test_lee_weight():
@@ -42,6 +20,8 @@ def test_lee_weight():
         for r in range(n):
             assert lee_weight(r, n) == lee_weight(-r, n)
             assert lee_weight(r, n) <= n // 2
+    with pytest.raises(InvalidInputError):
+        lee_weight(3, 0)
 
 
 def test_squares_small():

@@ -14,7 +14,6 @@ from ringpoints.orderly import (
     dump_level,
     edge_classes,
     extend_level,
-    gamma_glue,
     generate_levels,
     is_canonical,
     is_semi_canonical,
@@ -178,43 +177,19 @@ def test_seed_L3_examples():
         )
 
 
-def test_gamma_glue_contract():
+def test_extend_level_glue_contract():
     table = edge_classes(5)
-    level = seed_L3(5, "any", table)
     stats = GenerationStats()
-    produced = 0
-    for x1 in level:
-        if not x1.canonical:
-            continue
-        for x2 in level:
-            from ringpoints.orderly import reduced_key
-
-            if reduced_key(x2.matrix) != reduced_key(x1.matrix) or x2.key > x1.key:
-                continue
-            for y in gamma_glue(x1, x2, 5, table, "any", stats):
-                produced += 1
-                w = y.witness
-                assert len(set(w)) == 4  # coinciding placements discarded
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        assert is_integral(w[i], w[j], 5)
-    assert produced > 0
+    level4 = extend_level(seed_L3(5, "any", table), 5, "any", table, stats)
+    assert level4
+    for rec in level4:
+        w = rec.witness
+        assert len(set(w)) == 4  # coinciding placements discarded
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert is_integral(w[i], w[j], 5)
     # over a prime field two distance spheres meet in at most two points
     assert stats.glue_wide_results == 0
-
-
-def test_gamma_glue_precondition():
-    table = edge_classes(5)
-    level = seed_L3(5, "any", table)
-    from ringpoints.orderly import reduced_key
-
-    x1 = level[-1]
-    other = next(
-        (x for x in level if reduced_key(x.matrix) != reduced_key(x1.matrix)), None
-    )
-    if other is not None:
-        with pytest.raises(InvalidInputError):
-            gamma_glue(x1, other, 5, table)
 
 
 def test_extend_level_completeness_n4():

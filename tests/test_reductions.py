@@ -13,9 +13,10 @@ from ringpoints.geometry import is_collinear, is_integral, is_set_collinear
 from ringpoints.modring import squares
 from ringpoints.reductions import (
     _hamming_table,
-    bound_report,
+    best_construction,
     cartesian_compose,
     conjectured_I2,
+    conjectured_I2_tag,
     even_reduction_graph,
     even_reduction_value,
     even_weight,
@@ -73,6 +74,11 @@ def test_conjectured_I2():
     assert conjectured_I2(6) == 12  # the n = 2 mod 4 construction beats the grid
     assert conjectured_I2(25) == 125
     assert conjectured_I2(2) == 4
+    for n in range(2, 40):
+        # the larger construction, the grid on a tie
+        options = [lemma1_points(n)] + ([lemma2_points(n)] if n % 4 == 2 else [])
+        assert best_construction(n) == max(options, key=lambda c: c[1])
+        assert best_construction(n)[1] == conjectured_I2(n)
 
 
 def test_cartesian_compose():
@@ -232,16 +238,13 @@ def test_multiplicativity_all_coprime_pairs_small():
 
 def test_bound_report_brackets_exact():
     for n in (6, 12, 16, 17):
-        rep = bound_report(n)
-        exact = I_of(n, 2)
-        assert rep.lower <= exact <= rep.upper
-        assert rep.lower_tag in ("lemma1", "lemma2")
+        lower, tag = conjectured_I2_tag(n)
+        assert lower <= I_of(n, 2) <= n * n
+        assert tag in ("lemma1", "lemma2")
     from ringpoints.orderly import max_cardinality
 
     for n in (7, 9, 11):
-        rep = bound_report(n, "semi-general")
-        exact = max_cardinality(n, "semi-general")
-        assert rep.lower <= exact <= rep.upper
+        assert 2 <= max_cardinality(n, "semi-general") <= semi_general_upper(n)
 
 
 def test_verify_conjecture_small():
