@@ -12,6 +12,18 @@ from ringpoints.modring import (
 )
 
 
+def test_reduce_rejects_zero_modulus():
+    # every function that reduces modulo n checks the modulus first
+    for call in (
+        lambda: lee_weight(3, 0),
+        lambda: squares(0),
+        lambda: factorize(0),
+        lambda: sqrt_mod(3, 0),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
 def test_lee_weight():
     assert lee_weight(7, 12) == 5
     assert lee_weight(5, 12) == 5
@@ -20,8 +32,6 @@ def test_lee_weight():
         for r in range(n):
             assert lee_weight(r, n) == lee_weight(-r, n)
             assert lee_weight(r, n) <= n // 2
-    with pytest.raises(InvalidInputError):
-        lee_weight(3, 0)
 
 
 def test_squares_small():
