@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cliquegraph import CliqueResult, DistanceGraph, I_of, build_full, build_rooted, max_clique
+from .cliquegraph import CliqueResult, DistanceGraph, build_full, build_rooted, max_clique
 from .errors import (
     DegenerateError,
     InvalidInputError,
@@ -22,7 +22,7 @@ from .geometry import (
     is_integral_delta,
 )
 from .orderly import max_cardinality, max_cardinality_witness
-from .reductions import conjectured_I2, ilig_set, lemma1_points, lemma2_points, verify_conjecture
+from .reductions import I_of, conjectured_I2, ilig_set, lemma1_points, lemma2_points, verify_conjecture
 
 __all__ = [
     "CliqueResult",

@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
-VERSION = "0.1.0"
+from . import __version__
 
 CACHE_ENV = "RINGPOINTS_CACHE"
 DEFAULT_CACHE = "./ringpoints-cache.json"
@@ -31,7 +31,7 @@ class ResultRecord:
     witness: list | None = None
     elapsed_ms: int = 0
     variant: str = "auto"
-    version: str = VERSION
+    version: str = __version__
     checksum: str = field(default="")
 
     def key(self) -> str:

@@ -13,7 +13,7 @@ import time
 
 from . import __version__
 from .cache import ResultCache, ResultRecord
-from .cliquegraph import DistanceGraph, I_of, build_full, build_rooted
+from .cliquegraph import DistanceGraph, build_full, build_rooted
 from .errors import (
     InvalidInputError,
     NotApplicableError,
@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import point_index
 from .orderly import max_cardinality_witness
 from .reductions import (
+    I_of,
     best_construction,
     conjectured_I2,
     even_reduction_value,

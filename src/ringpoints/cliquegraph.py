@@ -8,9 +8,10 @@ vectors, indexed by ``point_index``, decides every pair, and a single builder
 turns (vertex list, k, table) into bit-vector adjacency.  The graph variants
 differ only in vertex set and table: the full graph on all of Z_n^m and the
 graph rooted at 0 (one point fixed by translation symmetry) use the integral
-table; the family with a fixed anchor edge class (two points fixed) keeps the
-classes numbered at or above the anchor's.  The even-modulus and Hamming
-graphs of ``reductions`` use the same builder.
+table by default; the family with a fixed anchor edge class (two points fixed)
+keeps the classes numbered at or above the anchor's.  The rooted builder also
+takes the table of the even-modulus weight graph and of the Z_3^m Hamming
+graph.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds, vertices preordered by descending degree.  Adjacency rows are
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import InvalidInputError, ResourceLimitError, SearchTimeout
+from .errors import InvalidInputError, ResourceLimitError
 from .geometry import Point, delta, is_integral_delta, point_index
 from .modring import squares
 
@@ -126,14 +127,16 @@ def build_full(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dist
     return DistanceGraph(n, m, "full", points, _cayley_adjacency(points, n, ok))
 
 
-def build_rooted(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> DistanceGraph:
-    """Graph on the points at integral distance to 0, excluding 0 itself.
+def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGraph:
+    """Cayley graph of Z_n^m on the neighbours of 0, excluding 0 itself.
 
-    By translation symmetry 0 can be assumed to belong to a maximum integral
-    point set, so I(n, m) = 1 + max clique of this graph.
+    ``table`` is the connection table over the differences (indexed by
+    ``point_index``), by default integrality.  By translation symmetry 0 can
+    be assumed to belong to a maximum clique of the full Cayley graph, so its
+    clique number is 1 + max clique of this graph.
     """
-    _check_budget_vertices(n**m, max_vertices)
-    ok = _integral_diff_table(n, m)
+    _check_budget_vertices(n**m, DEFAULT_MAX_VERTICES)
+    ok = _integral_diff_table(n, m) if table is None else table
     zero = (0,) * m
     points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
     return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok), meta={"root": zero})
@@ -149,7 +152,7 @@ def delta_classes(n: int, m: int) -> list[tuple[int, ...]]:
 
 
 def build_delta_family(
-    n: int, m: int, ordering: str = "rarest", max_vertices: int = DEFAULT_MAX_VERTICES
+    n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> list[DistanceGraph]:
     """One graph per anchor edge class e_i, with edges restricted to classes >= i.
 
@@ -157,10 +160,9 @@ def build_delta_family(
     so that it contains 0 and the Lee-reduced witness of its minimal-numbered
     edge class, hence I(n, m) = 2 + max over the family of the maximum clique.
 
-    ``ordering`` fixes the class numbering: "rarest" sorts ascending by the
-    number of common integral neighbors of the anchor pair (ties lexicographic),
-    which keeps the graphs with the most permissive edge condition small;
-    "lex" is plain lexicographic.
+    Classes are numbered ascending by the number of common integral neighbors
+    of the anchor pair (ties lexicographic), which keeps the graphs with the
+    most permissive edge condition small.
     """
     _check_budget_vertices(n**m, max_vertices)
     ok = _integral_diff_table(n, m)
@@ -175,10 +177,7 @@ def build_delta_family(
         for e in classes
     }
 
-    if ordering == "rarest":
-        classes.sort(key=lambda e: (len(common[e]), e))
-    elif ordering != "lex":
-        raise InvalidInputError(f"unknown ordering {ordering!r}")
+    classes.sort(key=lambda e: (len(common[e]), e))
     # rank[point_index(d)]: number of the class of the Lee-reduced d, -1 if not integral
     class_index = {e: i for i, e in enumerate(classes)}
     rank = [class_index.get(delta(d, zero, n), -1) for d in _all_points(n, m)]
@@ -353,10 +352,10 @@ def _rooted_orbits(points: list[Point], n: int) -> list[list[int]]:
     """Orbits of the maps fixing 0 that keep integrality, as index lists.
 
     Unit scalings multiply every squared distance by a unit square, and
-    coordinate permutations and sign changes keep it (and Hamming weight), so
-    the group they generate acts on every graph rooted at 0 here.  Orbits are
-    closed under one sign change, a cyclic shift, a transposition and the
-    unit scalings, which generate it.
+    coordinate permutations and sign changes keep it (and Hamming weight and
+    the even weight graph's condition), so the group they generate acts on
+    every graph rooted at 0 here.  Orbits are closed under one sign change, a
+    cyclic shift, a transposition and the unit scalings, which generate it.
     """
     gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
     gens += [lambda p, u=u: tuple(u * c % n for c in p) for u in range(2, n) if gcd(u, n) == 1]
@@ -376,107 +375,3 @@ def _rooted_orbits(points: list[Point], n: int) -> list[list[int]]:
                     orbit.append(k)
         orbits.append(orbit)
     return orbits
-
-
-def _seed_for_rooted(n: int, m: int) -> list[Point] | None:
-    """A constructed clique of the rooted graph: a known integral point set minus 0."""
-    from . import reductions
-
-    zero = (0,) * m
-    if m == 2:
-        return [p for p in reductions.best_construction(n)[0] if p != zero]
-    # axis line (u, 0, ..., 0); distances (u1-u2)^2 are squares for every n
-    return [(u,) + (0,) * (m - 1) for u in range(1, n)]
-
-
-def _solve_rooted(n: int, m: int, budget: float | None) -> int:
-    g = build_rooted(n, m)
-    res = max_clique(
-        g, budget=budget, initial=_seed_for_rooted(n, m), orbits=_rooted_orbits(g.labels, n)
-    )
-    if not res.exact:
-        raise SearchTimeout(f"I({n},{m}) rooted search hit budget", 1 + res.size)
-    return 1 + res.size
-
-
-def _solve_delta(n: int, m: int, budget: float | None) -> int:
-    family = build_delta_family(n, m)
-    if not family:
-        return _solve_rooted(n, m, budget)
-    best = 2
-    for g in family:
-        res = max_clique(g, budget=budget)
-        if not res.exact:
-            raise SearchTimeout(f"I({n},{m}) delta-family search hit budget", max(best, 2 + res.size))
-        best = max(best, 2 + res.size)
-    return best
-
-
-def _solve_full(n: int, m: int, budget: float | None) -> int:
-    res = max_clique(build_full(n, m), budget=budget)
-    if not res.exact:
-        raise SearchTimeout(f"I({n},{m}) full search hit budget", res.size)
-    return res.size
-
-
-def I_of(
-    n: int,
-    m: int,
-    strategy: str = "auto",
-    use_cartesian: bool = True,
-    budget: float | None = None,
-) -> int:
-    """Exact maximum cardinality of an integral point set over Z_n^m.
-
-    "auto" dispatches the closed forms (m = 1, n <= 2), splits composite n into
-    coprime prime-power factors, reduces even moduli to the half-ring weight
-    graph, and otherwise runs the rooted clique search.  Explicit strategies
-    ("full", "rooted", "delta") run the named graph variant directly, for
-    cross-checking.  A budget expiry raises SearchTimeout carrying the best
-    proven lower bound.
-    """
-    if n < 1 or m < 1:
-        raise InvalidInputError("n and m must be positive")
-    if strategy == "full":
-        return _solve_full(n, m, budget)
-    if strategy == "rooted":
-        return _solve_rooted(n, m, budget)
-    if strategy == "delta":
-        return _solve_delta(n, m, budget)
-    if strategy != "auto":
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-
-    if n == 1:
-        return 1
-    if m == 1:
-        return n
-    if n == 2:
-        return 2**m
-
-    if use_cartesian:
-        from .modring import factorize
-
-        factors = [p**r for p, r in factorize(n)]
-        if len(factors) > 1:
-            out = 1
-            for pos, q in enumerate(factors):
-                try:
-                    out *= I_of(q, m, "auto", use_cartesian, budget)
-                except SearchTimeout as exc:
-                    # finished factors are exact; each remaining factor q has
-                    # the axis line, so I(q, m) >= q
-                    bound = out * exc.lower_bound
-                    for rest in factors[pos + 1 :]:
-                        bound *= rest
-                    if m == 2:
-                        from .reductions import conjectured_I2
-
-                        bound = max(bound, conjectured_I2(n))
-                    raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
-            return out
-
-    if n % 2 == 0:
-        from .reductions import even_reduction_value
-
-        return even_reduction_value(n, m, budget=budget)
-    return _solve_rooted(n, m, budget)

@@ -43,9 +43,6 @@ class SquareTable:
     squares: frozenset[int]
     nonzero_squares: frozenset[int]
 
-    def is_square(self, x: int) -> bool:
-        return x % self.n in self.squares
-
 
 @lru_cache(maxsize=None)
 def squares(n: int) -> SquareTable:

@@ -7,6 +7,11 @@ contribution collapses to 0 or a fixed square shift.  Even moduli reduce to a
 weight condition on the half ring (every point of Z_n^m has exactly 2^m
 preimages in Z_{2n}^m), coprime moduli multiply via the CRT, and Z_3^m is a
 pure Hamming-distance selection problem.
+
+``I_of`` dispatches the exact value of I(n, m) over these reductions.  The
+exact searches on graphs rooted at 0 (integral distance, the even weight graph
+and the Hamming graph of Z_3^m) share one builder, ``build_rooted``, one
+orbit-branched search, ``_rooted_value``, and one seed, ``_rooted_seed``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cliquegraph import DistanceGraph, _all_points, _cayley_adjacency, _rooted_orbits, max_clique
+from .cliquegraph import (
+    DistanceGraph,
+    _all_points,
+    _cayley_adjacency,
+    _rooted_orbits,
+    build_delta_family,
+    build_full,
+    build_rooted,
+    max_clique,
+)
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
 from .geometry import Point, is_integral
 from .modring import factorize, is_prime, omega, squares
@@ -126,43 +140,59 @@ def even_weight(u: Point, v: Point, two_n: int) -> int:
 
 
 def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
-    """Weight graph on Z_n^m whose cliques lift to integral point sets over Z_{2n}^m.
+    """Weight graph on Z_n^m, rooted at 0, whose cliques lift to Z_{2n}^m.
 
     Each vertex has 2^m preimages under the mod-n projection, and a set S is
     admissible iff all pairwise weights are squares mod 2n; hence
-    I(2n, m) = 2^m * (maximum clique).
+    I(2n, m) = 2^m * (1 + maximum clique), with 0 in the set by translation.
     """
     if two_n % 2 != 0:
         raise InvalidInputError(f"even reduction needs an even modulus, got {two_n}")
     n = two_n // 2
-    points = _all_points(n, m)
     # Squareness of the weight depends on u - v only mod n, so the graph is a
     # Cayley graph of Z_n^m.  Adding n to one difference adds 2dn + n^2 = n^2
     # (mod 2n) to the weight.  For even n, n^2 = 0 (mod 2n).  For odd n,
     # n^2 = n (mod 2n): the weight keeps its residue mod n and changes mod 2,
     # and since Z_2n = Z_2 x Z_n with every residue mod 2 a square, squareness
     # mod 2n equals squareness mod n.
+    # The orbit group of the rooted search acts on this graph too: unit
+    # scalings mod n, sign changes and coordinate permutations are linear, and
+    # wrapping a coordinate adds n^2 to the weight.  For even n, n^2 = 0
+    # (mod 2n) and a unit u is odd, so u^2 is a unit square mod 2n; for odd n,
+    # squareness mod 2n is squareness mod n.
     sq = squares(two_n).squares
     zero = (0,) * m
-    table = [even_weight(d, zero, two_n) in sq for d in points]
-    adj = _cayley_adjacency(points, n, table)
-    return DistanceGraph(two_n, m, "even", points, adj, meta={"half_modulus": n})
-
-
-def _even_seed(two_n: int, m: int) -> list[Point]:
-    """Project a constructed integral point set over Z_{2n} into the weight graph."""
-    n = two_n // 2
-    if m == 2:
-        return sorted({(x % n, y % n) for x, y in best_construction(two_n)[0]})
-    return [(u,) + (0,) * (m - 1) for u in range(n)]
+    return build_rooted(n, m, [even_weight(d, zero, two_n) in sq for d in _all_points(n, m)])
 
 
 def even_reduction_value(two_n: int, m: int, budget: float | None = None) -> int:
     g = even_reduction_graph(two_n, m)
-    res = max_clique(g, budget=budget, initial=_even_seed(two_n, m))
+    return _rooted_value(g, _rooted_seed(two_n, g.n, m), budget, scale=2**m)
+
+
+def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
+    """A known clique of a graph rooted at 0 over Z_k^m, as labels without 0.
+
+    For m = 2 the best construction over Z_N^2 reduced mod k (N = k for the
+    integral graph, N = 2k for the even weight graph); otherwise the axis line
+    (u, 0, ..., 0), whose squared distances (u1 - u2)^2 are squares.
+    """
+    if m == 2:
+        return sorted({(x % k, y % k) for x, y in best_construction(N)[0]} - {(0, 0)})
+    return [(u,) + (0,) * (m - 1) for u in range(1, k)]
+
+
+def _rooted_value(g: DistanceGraph, seed: list[Point], budget: float | None, scale: int = 1) -> int:
+    """scale * (1 + maximum clique) of a graph rooted at 0, branching per orbit.
+
+    On budget expiry raises SearchTimeout carrying the same expression for the
+    incumbent clique, a proven lower bound.
+    """
+    res = max_clique(g, budget=budget, initial=seed, orbits=_rooted_orbits(g.labels, g.n))
+    value = scale * (1 + res.size)
     if not res.exact:
-        raise SearchTimeout(f"I({two_n},{m}) even reduction hit budget", (2**m) * res.size)
-    return (2**m) * res.size
+        raise SearchTimeout(f"rooted search over Z_{g.n}^{g.m} hit budget", value)
+    return value
 
 
 def hamming_distance(u: Point, v: Point) -> int:
@@ -187,14 +217,7 @@ def hamming_I3_value(m: int, budget: float | None = None) -> int:
     The top level branches once per Hamming weight: coordinate permutations
     and sign changes fix 0 and move any point onto any other of its weight.
     """
-    table = _hamming_table(m)
-    points = [p for p, good in zip(_all_points(3, m), table) if good and any(p)]
-    adj = _cayley_adjacency(points, 3, table)
-    g = DistanceGraph(3, m, "hamming", points, adj, meta={"root": (0,) * m})
-    res = max_clique(g, budget=budget, orbits=_rooted_orbits(points, 3))
-    if not res.exact:
-        raise SearchTimeout(f"I(3,{m}) hamming search hit budget", 1 + res.size)
-    return 1 + res.size
+    return _rooted_value(build_rooted(3, m, _hamming_table(m)), _rooted_seed(3, 3, m), budget)
 
 
 def _hamming_table(m: int) -> list[bool]:
@@ -235,6 +258,87 @@ def semi_general_upper(n: int) -> int:
     return min(bounds)
 
 
+def _solve_rooted(n: int, m: int, budget: float | None) -> int:
+    return _rooted_value(build_rooted(n, m), _rooted_seed(n, n, m), budget)
+
+
+def _solve_delta(n: int, m: int, budget: float | None) -> int:
+    family = build_delta_family(n, m)
+    if not family:
+        return _solve_rooted(n, m, budget)
+    best = 2
+    for g in family:
+        res = max_clique(g, budget=budget)
+        if not res.exact:
+            raise SearchTimeout(f"I({n},{m}) delta-family search hit budget", max(best, 2 + res.size))
+        best = max(best, 2 + res.size)
+    return best
+
+
+def _solve_full(n: int, m: int, budget: float | None) -> int:
+    res = max_clique(build_full(n, m), budget=budget)
+    if not res.exact:
+        raise SearchTimeout(f"I({n},{m}) full search hit budget", res.size)
+    return res.size
+
+
+def I_of(
+    n: int,
+    m: int,
+    strategy: str = "auto",
+    use_cartesian: bool = True,
+    budget: float | None = None,
+) -> int:
+    """Exact maximum cardinality of an integral point set over Z_n^m.
+
+    "auto" dispatches the closed forms (m = 1, n <= 2), splits composite n into
+    coprime prime-power factors, reduces even moduli to the half-ring weight
+    graph, and otherwise runs the rooted clique search.  Explicit strategies
+    ("full", "rooted", "delta") run the named graph variant directly, for
+    cross-checking.  A budget expiry raises SearchTimeout carrying the best
+    proven lower bound.
+    """
+    if n < 1 or m < 1:
+        raise InvalidInputError("n and m must be positive")
+    if strategy == "full":
+        return _solve_full(n, m, budget)
+    if strategy == "rooted":
+        return _solve_rooted(n, m, budget)
+    if strategy == "delta":
+        return _solve_delta(n, m, budget)
+    if strategy != "auto":
+        raise InvalidInputError(f"unknown strategy {strategy!r}")
+
+    if n == 1:
+        return 1
+    if m == 1:
+        return n
+    if n == 2:
+        return 2**m
+
+    if use_cartesian:
+        factors = [p**r for p, r in factorize(n)]
+        if len(factors) > 1:
+            out = 1
+            for pos, q in enumerate(factors):
+                try:
+                    out *= I_of(q, m, "auto", use_cartesian, budget)
+                except SearchTimeout as exc:
+                    # finished factors are exact; each remaining factor q has
+                    # the axis line, so I(q, m) >= q
+                    bound = out * exc.lower_bound
+                    for rest in factors[pos + 1 :]:
+                        bound *= rest
+                    if m == 2:
+                        bound = max(bound, conjectured_I2(n))
+                    raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
+            return out
+
+    if n % 2 == 0:
+        return even_reduction_value(n, m, budget=budget)
+    return _solve_rooted(n, m, budget)
+
+
 @dataclass
 class ConjectureEntry:
     n: int
@@ -253,10 +357,6 @@ class ConjectureReport:
         return all(e.tight for e in self.entries if e.tight is not None)
 
     @property
-    def counterexamples(self) -> list[ConjectureEntry]:
-        return [e for e in self.entries if e.tight is False]
-
-    @property
     def unverified(self) -> list[int]:
         return [e.n for e in self.entries if e.tight is None]
 
@@ -267,8 +367,6 @@ def verify_conjecture(n_max: int, budget: float | None = None, n_min: int = 2) -
     Each n is recomputed from scratch (prime-power factors by clique search);
     budget expiry marks the entry unverified instead of failing the run.
     """
-    from .cliquegraph import I_of
-
     entries = []
     for n in range(n_min, n_max + 1):
         conj, tag = conjectured_I2_tag(n)

@@ -15,11 +15,12 @@ from ringpoints.charfield import (
     heron_v2,
     sphere_det,
 )
-from ringpoints.cliquegraph import DistanceGraph, I_of, max_clique
+from ringpoints.cliquegraph import DistanceGraph, max_clique
 from ringpoints.geometry import collinear_det, is_collinear, is_integral
 from ringpoints.modring import alpha
 from ringpoints.orderly import max_cardinality
 from ringpoints.reductions import (
+    I_of,
     even_reduction_value,
     hamming_I3_value,
     ilig_set,

@@ -1,23 +1,55 @@
-"""The functions the benchmark profiles must stay defined in the package source.
+"""The functions the benchmark profiles must stay defined and stay reached.
 
 ``bench/layers.py`` names (module, function) pairs whose profile entries give
-the per-layer metrics; a metric whose function is gone reads as missing.  The
-layer list is loaded by file path, because ``bench/child.py`` runs a workload
-when imported, and the source is searched the way the benchmark searches it:
-by compiling each module and walking its nested code objects.
+the per-layer metrics; a metric whose function is gone, or is not called on a
+workload the metric lists in ``on``, reads as missing.  The layer list is
+loaded by file path, because ``bench/child.py`` runs a workload when imported.
+The source is searched the way the benchmark searches it: by compiling each
+module and walking its nested code objects.  Reachability is checked on small
+stand-ins for the workloads, each profiled in a fresh interpreter as the
+benchmark does, so no cache filled by an earlier test hides a call.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Prints the (module, function) pairs of the package that the call ran.
+_PROFILE_CHILD = """
+import cProfile, json, os, pstats, sys
+import ringpoints
+from ringpoints.orderly import max_cardinality_witness
+from ringpoints.reductions import verify_conjecture
+profile = cProfile.Profile()
+profile.runcall(lambda: {call})
+package = os.path.dirname(os.path.realpath(ringpoints.__file__))
+json.dump(sorted({{
+    (os.path.splitext(os.path.basename(filename))[0], fn)
+    for filename, _line, fn in pstats.Stats(profile).stats
+    if os.path.dirname(os.path.realpath(filename)) == package
+}}), sys.stdout)
+"""
 
-def _layer_functions():
+
+def _layers():
     spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.FUNCTIONS
+    return layers
+
+
+def _profiled_functions(call: str) -> set[tuple[str, str]]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROFILE_CHILD.format(call=call)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return {tuple(pair) for pair in json.loads(out)}
 
 
 def _defined_names(module: str) -> set[str]:
@@ -32,7 +64,22 @@ def _defined_names(module: str) -> set[str]:
 
 
 def test_profiled_functions_are_defined():
-    functions = _layer_functions()
+    functions = _layers().FUNCTIONS
     assert functions
     missing = [f"{mod}.{fn}" for mod, fn in functions if fn not in _defined_names(mod)]
     assert not missing, f"functions named in bench/layers.py but not defined: {missing}"
+
+
+def test_profiled_functions_are_reached():
+    layers = _layers()
+    sweep = _profiled_functions("verify_conjecture(9)")
+    orderly = _profiled_functions('max_cardinality_witness(13, "general")')
+    # verify_conjecture(9) stands in for both clique workloads
+    seen = {layers.SWEEP: sweep, layers.HIGHDIM: sweep, layers.ORDERLY: orderly}
+    missing = [
+        (metric.name, workload)
+        for metric in layers.LAYER_METRICS
+        for workload in metric.on
+        if not set(metric.functions) & seen[workload]
+    ]
+    assert not missing, f"layer metrics whose functions are not called on their workloads: {missing}"

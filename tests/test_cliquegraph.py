@@ -5,7 +5,6 @@ import pytest
 
 from ringpoints.cliquegraph import (
     DistanceGraph,
-    I_of,
     build_delta_family,
     build_full,
     build_rooted,
@@ -15,6 +14,7 @@ from ringpoints.cliquegraph import (
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral
+from ringpoints.reductions import I_of, even_reduction_graph
 
 
 def complete_graph(v):
@@ -204,8 +204,11 @@ def test_even_divisibility():
 
 
 def test_rooted_orbits_are_automorphism_orbits():
-    for n, m in ((5, 2), (9, 2), (12, 2), (4, 3), (3, 4)):
-        g = build_rooted(n, m)
+    # integral graphs, then even weight graphs over the half ring Z_{g.n}
+    graphs = [build_rooted(n, m) for n, m in ((5, 2), (9, 2), (12, 2), (4, 3), (3, 4))]
+    graphs += [even_reduction_graph(two_n, m) for two_n, m in ((8, 2), (12, 2), (6, 3), (16, 3))]
+    for g in graphs:
+        n = g.n
         orbits = _rooted_orbits(g.labels, n)
         assert sorted(i for orbit in orbits for i in orbit) == list(range(g.num_vertices))
         index = {p: i for i, p in enumerate(g.labels)}

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ringpoints.cliquegraph import I_of
+from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import is_cocircular, is_collinear, is_concyclic, is_integral, is_set_collinear
 from ringpoints.orderly import (

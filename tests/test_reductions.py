@@ -2,7 +2,6 @@ import pytest
 
 from ringpoints.cliquegraph import (
     DistanceGraph,
-    I_of,
     _cayley_adjacency,
     _integral_diff_table,
     _rooted_orbits,
@@ -12,6 +11,7 @@ from ringpoints.errors import InvalidInputError, NotApplicableError
 from ringpoints.geometry import is_collinear, is_integral, is_set_collinear
 from ringpoints.modring import squares
 from ringpoints.reductions import (
+    I_of,
     _hamming_table,
     best_construction,
     cartesian_compose,
@@ -108,7 +108,8 @@ def test_even_weight_definition():
 
 def test_even_reduction_graph():
     g = even_reduction_graph(4, 2)
-    assert g.num_vertices == 4  # all of Z_2^2
+    # rooted at 0 in Z_2^2: (1, 1) has weight 2, not a square mod 4
+    assert g.labels == [(0, 1), (1, 0)]
     assert even_reduction_value(4, 2) == 8
     with pytest.raises(InvalidInputError):
         even_reduction_graph(7, 2)
@@ -120,7 +121,10 @@ def test_even_reduction_graph_edges_match_weight():
     for two_n, m in ((6, 2), (10, 2), (12, 2), (8, 3)):
         g = even_reduction_graph(two_n, m)
         sq = squares(two_n).squares
+        zero = (0,) * m
         for i in range(g.num_vertices):
+            assert g.labels[i] != zero
+            assert even_weight(g.labels[i], zero, two_n) in sq
             assert not (g.adj[i] >> i) & 1
             for j in range(i + 1, g.num_vertices):
                 edge = (g.adj[i] >> j) & 1 == 1
