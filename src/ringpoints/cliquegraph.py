@@ -139,7 +139,7 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
     ok = _integral_diff_table(n, m) if table is None else table
     zero = (0,) * m
     points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
-    return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok), meta={"root": zero})
+    return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok))
 
 
 def delta_classes(n: int, m: int) -> list[tuple[int, ...]]:

@@ -20,7 +20,11 @@ Two engines share the canonical triangles: extend_level materializes whole
 levels (useful for counts, dumps, and cross-checks), while max_cardinality
 runs a clique search with greedy-coloring bounds around each canonical
 triangle, which reaches the published maxima at moduli where full levels
-would not fit in time or memory.
+would not fit in time or memory.  The triangles themselves need no
+permutation search to be admitted: a triangle is semi-canonical iff its
+leading class is at least the image of each of its classes under the
+identity and every relabeling, a per-class table (``_class_tops``), and its
+second point is pinned to the first point of its leading class's sphere.
 """
 
 from __future__ import annotations
@@ -262,48 +266,52 @@ def _point_bisector(q: Point, w: Point, n: int) -> int:
     return _bisector_mask(dx, dy, c, n)
 
 
+def _class_tops(table: EdgeClassTable) -> list[int]:
+    """``tops[c]``: the largest image of class c under the identity and every relabeling."""
+    return [max([c, *(sigma[c] for sigma in table.relabelings)]) for c in range(len(table.classes))]
+
+
 def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> list[PointSetRecord]:
     """All semi-canonical integral triangles over Z_n^2, each matrix once.
 
-    Triangles are enumerated with the first point pinned at the origin, which
-    by translation invariance realizes every ordering of every congruence
-    class.
+    Semi-canonicity of a triangle compares only its leading entry c12 with
+    every entry under the identity and every relabeling, so (c12, c13, c23)
+    is semi-canonical iff ``tops[c12] == c12``, ``tops[c13] <= c12`` and
+    ``tops[c23] <= c12`` (see ``_class_tops``); no permutation is searched.
+    The first point sits at the origin and the second at the first point of
+    the sphere of c12: translations and the sign changes fixing 0, which are
+    transitive on each sphere, carry every realization of a matrix there.
+    Each matrix keeps the first realization met, in sphere order, before the
+    collinearity filter; ``canonical`` comes from ``is_canonical``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
     table = table or edge_classes(n)
     if n < 2:
         return []
-    integral_pts = [
-        p for i in range(1, len(table.classes)) for p in table.spheres[i]
-    ]
-    cls_of: dict[Point, int] = {}
-    for i in range(1, len(table.classes)):
-        for p in table.spheres[i]:
-            cls_of[p] = i
-
+    tops = _class_tops(table)
+    cls_of = table.class_of_diff
+    spheres = table.spheres
     filtered = mode in ("semi-general", "general")
-    out: dict[DeltaMatrix, PointSetRecord] = {}
-    seen: set[DeltaMatrix] = set()
-    for p2 in integral_pts:
-        c12 = cls_of[p2]
-        for p3 in integral_pts:
-            if p3 == p2:
+    out: list[PointSetRecord] = []
+    for c12 in range(1, len(table.classes)):
+        if tops[c12] != c12:
+            continue
+        p2 = spheres[c12][0]
+        matrices: dict[DeltaMatrix, tuple[Point, Point, Point]] = {}
+        for c13 in range(1, len(table.classes)):
+            if tops[c13] > c12:
                 continue
-            d23 = ((p3[0] - p2[0]) % n, (p3[1] - p2[1]) % n)
-            c23 = cls_of.get(d23)
-            if c23 is None:
-                continue
-            c13 = cls_of[p3]
-            matrix = ((0, c12, c13), (c12, 0, c23), (c13, c23, 0))
-            if matrix in seen:
-                continue
-            seen.add(matrix)
-            if filtered and is_collinear((0, 0), p2, p3, n):
-                continue
-            if is_semi_canonical(matrix, table.relabelings):
-                out[matrix] = _make_record(matrix, ((0, 0), p2, p3), table.relabelings)
-    return sorted(out.values(), key=lambda rec: rec.key)
+            for p3 in spheres[c13]:
+                c23 = cls_of[((p3[0] - p2[0]) % n) * n + (p3[1] - p2[1]) % n]
+                if c23 <= 0 or tops[c23] > c12:
+                    continue
+                matrix = ((0, c12, c13), (c12, 0, c23), (c13, c23, 0))
+                matrices.setdefault(matrix, ((0, 0), p2, p3))
+        for matrix, witness in matrices.items():
+            if not (filtered and is_collinear(*witness, n)):
+                out.append(_make_record(matrix, witness, table.relabelings))
+    return sorted(out, key=lambda rec: rec.key)
 
 
 @dataclass
@@ -472,8 +480,11 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     copy of every set of three or more points extends the witness of a
     ``seed_L3`` record.  The leading entry ``key[0]`` of a canonical matrix
     is its largest entry under every relabeling, so the copy only uses
-    admissible classes: ``sigma[c] <= key[0]`` for the identity and every
-    relabeling ``sigma``.
+    admissible classes: ``tops[c] <= key[0]``, where ``tops[c]`` is the
+    largest image of c under the identity and every relabeling.  Each
+    record's witness stands for all realizations of its triangle: with the
+    first two points fixed, the third points realizing one matrix lie in one
+    orbit of the sign changes fixing both, which keep the position predicates.
 
     Candidates are the points at admissible distances from the witness that
     pass the position filters with it; two are adjacent when their distance
@@ -488,7 +499,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
 
     start = time.monotonic()
     table = edge_classes(n)
-    relabelings = table.relabelings
+    tops = _class_tops(table)
     cls_of = table.class_of_diff
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
@@ -538,9 +549,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
         witness = rec.witness
         top = rec.key[0]
         # index -1 (non-integral difference) reads the trailing False
-        allowed = [
-            0 < c <= top and all(sigma[c] <= top for sigma in relabelings) for c in range(ncls)
-        ] + [False]
+        allowed = [0 < c and tops[c] <= top for c in range(ncls)] + [False]
         points, diffs, spans, pairs = seed_candidates(witness, allowed)
         size = len(points)
         if 3 + size <= best:

@@ -23,7 +23,6 @@ from math import gcd
 from .cliquegraph import (
     DistanceGraph,
     _all_points,
-    _cayley_adjacency,
     _rooted_orbits,
     build_delta_family,
     build_full,
@@ -197,18 +196,6 @@ def _rooted_value(g: DistanceGraph, seed: list[Point], budget: float | None, sca
 
 def hamming_distance(u: Point, v: Point) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def hamming_predicate_I3(m: int) -> DistanceGraph:
-    """Graph on Z_3^m with edges at Hamming distance not congruent 2 mod 3.
-
-    Since 1^2 = 2^2 = 1 mod 3, squared distances count differing coordinates,
-    and the squares mod 3 are {0, 1}; the maximum clique equals I(3, m).
-    """
-    if m < 1:
-        raise InvalidInputError("dimension must be positive")
-    points = _all_points(3, m)
-    return DistanceGraph(3, m, "hamming", points, _cayley_adjacency(points, 3, _hamming_table(m)))
 
 
 def hamming_I3_value(m: int, budget: float | None = None) -> int:

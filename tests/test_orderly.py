@@ -1,13 +1,23 @@
 import random
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
 
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
-from ringpoints.geometry import is_cocircular, is_collinear, is_concyclic, is_integral, is_set_collinear
+from ringpoints.geometry import (
+    delta,
+    is_cocircular,
+    is_collinear,
+    is_concyclic,
+    is_integral,
+    is_set_collinear,
+)
 from ringpoints.orderly import (
     GenerationStats,
+    _class_tops,
+    _make_record,
     brute_canonical_key,
     compare,
     delta_matrix,
@@ -35,8 +45,6 @@ def test_edge_class_spheres():
     table = edge_classes(5)
     for i, vec in enumerate(table.classes):
         for p in table.spheres[i]:
-            from ringpoints.geometry import delta
-
             assert delta(p, (0, 0), 5) == vec
 
 
@@ -175,6 +183,81 @@ def test_seed_L3_examples():
         assert all(
             is_integral(w[i], w[j], 5) for i in range(3) for j in range(i + 1, 3)
         )
+
+
+def test_class_tops_decide_triangle_semi_canonicity():
+    # the closed form against the permutation search, on every triple for small
+    # moduli and a seeded sample for even and composite ones
+    rng = random.Random(8)
+    for n in (5, 8, 9, 12, 16, 25, 27):
+        table = edge_classes(n)
+        tops = _class_tops(table)
+        nonzero = range(1, len(table.classes))
+        if n <= 12:
+            triples = [(a, b, c) for a in nonzero for b in nonzero for c in nonzero]
+        else:
+            triples = [tuple(rng.choice(nonzero) for _ in range(3)) for _ in range(2000)]
+        for c12, c13, c23 in triples:
+            matrix = ((0, c12, c13), (c12, 0, c23), (c13, c23, 0))
+            closed_form = tops[c12] == c12 and tops[c13] <= c12 and tops[c23] <= c12
+            assert closed_form == is_semi_canonical(matrix, table.relabelings), (n, c12, c13, c23)
+
+
+def reference_seed_L3(n, mode):
+    """Every ordered pair of points around the origin, first realization of
+    each matrix kept before the collinearity filter, then the permutation
+    search for semi-canonicity."""
+    table = edge_classes(n)
+    if n < 2:
+        return []
+    points = [(p, i) for i in range(1, len(table.classes)) for p in table.spheres[i]]
+    out, seen = {}, set()
+    for p2, c12 in points:
+        for p3, c13 in points:
+            if p3 == p2:
+                continue
+            c23 = table.index.get(delta(p2, p3, n))
+            if c23 is None:
+                continue
+            matrix = ((0, c12, c13), (c12, 0, c23), (c13, c23, 0))
+            if matrix in seen:
+                continue
+            seen.add(matrix)
+            if mode != "any" and is_collinear((0, 0), p2, p3, n):
+                continue
+            if is_semi_canonical(matrix, table.relabelings):
+                out[matrix] = _make_record(matrix, ((0, 0), p2, p3), table.relabelings)
+    return sorted(out.values(), key=lambda rec: rec.key)
+
+
+def test_seed_L3_matches_reference_enumeration():
+    for n in range(1, 21):
+        for mode in ("any", "semi-general", "general"):
+            got = [(r.matrix, r.witness, r.canonical) for r in seed_L3(n, mode)]
+            want = [(r.matrix, r.witness, r.canonical) for r in reference_seed_L3(n, mode)]
+            assert got == want, (n, mode)
+
+
+def test_triangle_realizations_are_reflection_congruent():
+    # with p2 pinned to the first point of its sphere, the third points that
+    # realize one class triple form one orbit of the sign changes fixing p2
+    for n in range(2, 41):
+        table = edge_classes(n)
+        for c12 in range(1, len(table.classes)):
+            p2 = table.spheres[c12][0]
+            signs = [
+                (e, f) for e in (1, -1) for f in (1, -1)
+                if ((e * p2[0]) % n, (f * p2[1]) % n) == p2
+            ]
+            realizations = defaultdict(set)
+            for c13 in range(1, len(table.classes)):
+                for p3 in table.spheres[c13]:
+                    c23 = table.index.get(delta(p2, p3, n))
+                    if c23:
+                        realizations[c13, c23].add(p3)
+            for triple, p3s in realizations.items():
+                q = min(p3s)
+                assert {((e * q[0]) % n, (f * q[1]) % n) for e, f in signs} == p3s, (n, c12, triple)
 
 
 def test_extend_level_glue_contract():

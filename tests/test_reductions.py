@@ -2,6 +2,7 @@ import pytest
 
 from ringpoints.cliquegraph import (
     DistanceGraph,
+    _all_points,
     _cayley_adjacency,
     _integral_diff_table,
     _rooted_orbits,
@@ -22,7 +23,6 @@ from ringpoints.reductions import (
     even_weight,
     hamming_I3_value,
     hamming_distance,
-    hamming_predicate_I3,
     ilig_set,
     lemma1_bound,
     lemma1_points,
@@ -145,12 +145,22 @@ def test_I4_sequence():
         assert even_reduction_value(4, m) == expected
 
 
+def hamming_graph(m):
+    """Graph on all of Z_3^m, edges at Hamming distance not congruent 2 mod 3.
+
+    Since 1^2 = 2^2 = 1 mod 3, squared distances count differing coordinates,
+    and the squares mod 3 are {0, 1}; the maximum clique equals I(3, m).
+    """
+    points = _all_points(3, m)
+    return DistanceGraph(3, m, "hamming", points, _cayley_adjacency(points, 3, _hamming_table(m)))
+
+
 def test_hamming_graph():
-    g = hamming_predicate_I3(2)
+    g = hamming_graph(2)
     assert g.num_vertices == 9
     assert max_clique(g).size == 3
     for m in (2, 3, 4):
-        g = hamming_predicate_I3(m)
+        g = hamming_graph(m)
         for i in range(g.num_vertices):
             for j in range(g.num_vertices):
                 edge = (g.adj[i] >> j) & 1 == 1
@@ -174,7 +184,7 @@ def test_hamming_weight_orbits():
     # and one branch per orbit finds the clique of the unbranched search
     for m in (2, 3, 4, 5):
         zero = (0,) * m
-        g = hamming_predicate_I3(m)
+        g = hamming_graph(m)
         keep = [i for i, p in enumerate(g.labels) if any(p) and (g.adj[0] >> i) & 1]
         points = [g.labels[i] for i in keep]
         orbits = _rooted_orbits(points, 3)
