@@ -69,6 +69,8 @@ class ResultCache:
             with open(self.path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError):
+            raw = None
+        if not isinstance(raw, dict):
             self.corrupt.append("<file unreadable>")
             return
         for key, entry in raw.items():

@@ -54,6 +54,8 @@ def _compute_value(args) -> tuple[int, bool, list | None, int]:
     else:
         if args.m != 2:
             raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
+        if args.variant != "auto" or args.no_cartesian:
+            raise InvalidInputError("--variant and --no-cartesian apply to mode I only")
         value, wit = max_cardinality_witness(args.n, args.mode, budget=args.budget)
         witness = [list(p) for p in wit]
     return value, exact, witness, int((time.monotonic() - t0) * 1000)

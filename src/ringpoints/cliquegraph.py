@@ -56,9 +56,6 @@ class DistanceGraph:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
 
 @dataclass
 class CliqueResult:

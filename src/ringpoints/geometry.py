@@ -9,7 +9,9 @@ Collinearity over Z_n^2 is the parametric notion: three points lie on a
 strictly stronger than the vanishing of the classical 3x3 determinant, so the
 exact test enumerates cyclic lines once per modulus and answers lookups from a
 bitmap of pair memberships.  Concyclicity likewise quantifies over centers and
-a nonzero radius ring element.
+a nonzero radius ring element.  Both circle predicates, and the circle filter
+of the orderly search, read the common centers from the bisector bitmasks of
+``_bisector_mask``.
 """
 
 from __future__ import annotations
@@ -138,39 +140,31 @@ def _solve_linear(t: int, c: int, n: int) -> list[int]:
     return [b0 + k * n_ for k in range(g)]
 
 
-def _common_center_values(pts: tuple[Point, ...], n: int):
-    """Yield the value (x_1-a)^2 + (y_1-b)^2 for every center (a, b) that sees
-    all points at one common value.
+@lru_cache(maxsize=1 << 17)
+def _bisector_mask(dx: int, dy: int, c: int, n: int) -> int:
+    """Bitmask over centers (a, b) seeing two points at one common value.
 
-    Candidate centers are cut down by the linear congruence
-    2a(x_i-x_1) + 2b(y_i-y_1) = norm_i - norm_1 for the companion point and
-    coordinate role that pin the center down hardest; in the worst case this
-    degrades to the full center scan.
+    The centers equidistant (in the squared sense) from points p and p' with
+    difference (dx, dy) and norm difference c solve 2a dx + 2b dy = c (mod n);
+    bit a*n + b marks a solution.  Four points share a center iff three such
+    masks, each pairing the first point with another, have a common bit.
     """
-    norms = [(x * x + y * y) % n for x, y in pts]
-    x1, y1 = pts[0]
-    best = None
-    for i in range(1, len(pts)):
-        gy = gcd(2 * (pts[i][1] - y1) % n, n)
-        gx = gcd(2 * (pts[i][0] - x1) % n, n)
-        for swap, g in ((False, gy), (True, gx)):
-            if best is None or g < best[2]:
-                best = (i, swap, g)
-    i, swap, _ = best
-    xi, yi = pts[i]
-    rhs0 = norms[i] - norms[0]
+    tx, ty = 2 * dx % n, 2 * dy % n
+    mask = 0
+    for a in range(n):
+        for b in _solve_linear(ty, c - tx * a, n):
+            mask |= 1 << (a * n + b)
+    return mask
 
-    for free in range(n):
-        if not swap:
-            bs = _solve_linear(2 * (yi - y1), rhs0 - 2 * free * (xi - x1), n)
-            centers = ((free, b) for b in bs)
-        else:
-            as_ = _solve_linear(2 * (xi - x1), rhs0 - 2 * free * (yi - y1), n)
-            centers = ((a, free) for a in as_)
-        for a, b in centers:
-            s = ((x1 - a) * (x1 - a) + (y1 - b) * (y1 - b)) % n
-            if all(((x - a) * (x - a) + (y - b) * (y - b)) % n == s for x, y in pts[1:]):
-                yield s
+
+def _common_centers(pts: tuple[Point, ...], n: int) -> int:
+    """Bitmask of the centers (a, b), bit a*n + b, that see all points at one value."""
+    x1, y1 = pts[0]
+    n1 = x1 * x1 + y1 * y1
+    mask = -1
+    for x, y in pts[1:]:
+        mask &= _bisector_mask((x - x1) % n, (y - y1) % n, (x * x + y * y - n1) % n, n)
+    return mask
 
 
 def _circle_points(pts: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -193,21 +187,15 @@ def is_concyclic(p1: Point, p2: Point, p3: Point, p4: Point, n: int) -> bool:
     if not concyclic_det(*pts, n):  # necessary condition, cheap rejection
         return False
     nz = squares(n).nonzero_squares
-    return any(s in nz for s in _common_center_values(pts, n))
-
-
-@lru_cache(maxsize=1 << 18)
-def _cocircular_normalized(pts: tuple[Point, ...], n: int) -> bool:
-    for _ in _common_center_values(pts, n):
-        return True
+    x1, y1 = p1
+    centers = _common_centers(pts, n)
+    while centers:
+        low = centers & -centers
+        a, b = divmod(low.bit_length() - 1, n)
+        if ((x1 - a) * (x1 - a) + (y1 - b) * (y1 - b)) % n in nz:
+            return True
+        centers ^= low
     return False
-
-
-@lru_cache(maxsize=None)
-def _prime_power_parts(n: int) -> tuple[int, ...]:
-    from .modring import factorize
-
-    return tuple(p**k for p, k in factorize(n))
 
 
 def is_cocircular(p1: Point, p2: Point, p3: Point, p4: Point, n: int) -> bool:
@@ -216,21 +204,11 @@ def is_cocircular(p1: Point, p2: Point, p3: Point, p4: Point, n: int) -> bool:
     Unlike is_concyclic the common value s is unrestricted: it may be zero or a
     non-square, covering degenerate and irrational-radius circles.  This is the
     position filter under which the published general-position maxima arise.
-
-    The center system is linear, so existence over Z_n splits over the prime
-    power parts of n by the CRT; each part is scanned independently (repeated
-    points after reduction are harmless there).
     """
     pts = _circle_points((p1, p2, p3, p4))
     if not concyclic_det(*pts, n):  # necessary condition, cheap rejection
         return False
-    for q in _prime_power_parts(n):
-        spts = sorted((x % q, y % q) for x, y in pts)
-        x0, y0 = spts[0]
-        reduced = tuple(((x - x0) % q, (y - y0) % q) for x, y in spts)
-        if not _cocircular_normalized(reduced, q):
-            return False
-    return True
+    return _common_centers(pts, n) != 0
 
 
 def concyclic_det(p1: Point, p2: Point, p3: Point, p4: Point, n: int) -> bool:

@@ -60,6 +60,19 @@ def test_value_timeout_exit_code(tmp_path, capsys):
     assert "lower bound" in err
 
 
+def test_value_position_modes_reject_clique_flags(tmp_path, capsys):
+    # the position maxima have one engine; the I(n, m) cross-check flags do not reach it
+    cache = str(tmp_path / "c.json")
+    for flags in (["--variant", "delta"], ["--no-cartesian"], ["--variant", "full", "--no-cartesian"]):
+        for mode in ("semi-general", "general"):
+            code, out, err = run(
+                ["value", "--n", "13", "--m", "2", "--mode", mode, "--json", "--cache", cache, *flags],
+                capsys,
+            )
+            assert code == 1 and out == "", (mode, flags)
+            assert "error" in err
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.json")
     cache = ResultCache(path)
@@ -86,6 +99,17 @@ def test_cache_detects_corruption(tmp_path):
     reloaded = ResultCache(path)
     assert reloaded.get(9, 2, "I") is None
     assert reloaded.corrupt == ["9,2,I"]
+
+
+def test_cache_file_not_an_object(tmp_path, capsys):
+    # valid JSON whose top level is not an object reads as an unreadable file:
+    # the value is computed and the save rewrites the file
+    path = tmp_path / "cache.json"
+    path.write_text("[]")
+    assert ResultCache(str(path)).corrupt == ["<file unreadable>"]
+    code, out, _ = run(["value", "--n", "3", "--m", "2", "--cache", str(path)], capsys)
+    assert code == 0 and out.strip() == "3"
+    assert ResultCache(str(path)).get(3, 2, "I").value == 3
 
 
 def test_cache_exact_immutable(tmp_path):

@@ -1,37 +1,248 @@
 import random
 from collections import defaultdict
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 import pytest
 
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
+    Point,
     delta,
     is_cocircular,
     is_collinear,
     is_concyclic,
     is_integral,
     is_set_collinear,
+    line_table,
 )
 from ringpoints.orderly import (
-    GenerationStats,
+    MODES,
+    DeltaMatrix,
+    EdgeClassTable,
+    PointSetRecord,
     _class_tops,
     _make_record,
-    brute_canonical_key,
-    compare,
-    delta_matrix,
-    dump_level,
+    _ordering_exceeds,
+    _point_bisector,
     edge_classes,
-    extend_level,
-    generate_levels,
     is_canonical,
-    is_semi_canonical,
     matrix_key,
     max_cardinality,
     max_cardinality_witness,
     seed_L3,
 )
+
+
+# The level-by-level orderly generation: the reference that max_cardinality's
+# clique search around the canonical triangles is checked against.  Level
+# r + 1 is generated from level r by glueing: a canonical matrix supplies the
+# base point set, a compatible semi-canonical matrix with the same leading
+# block supplies the distance row of the new point, and candidate coordinates
+# are scanned from the witness realization.  Keeping exactly the
+# semi-canonical extensions makes the enumeration exhaustive without isomorph
+# duplication among canonical representatives.
+
+
+def leading_key(dm: DeltaMatrix) -> tuple[int, ...]:
+    """Key of the leading block, the matrix without its last row and column (a key prefix)."""
+    r = len(dm)
+    return tuple(dm[i][j] for j in range(1, r - 1) for i in range(j))
+
+
+def compare(d1: DeltaMatrix, d2: DeltaMatrix) -> int:
+    """-1, 0, 1 as d1 precedes, equals, or succeeds d2 in the matrix order."""
+    if len(d1) != len(d2):
+        raise InvalidInputError("matrices must have equal order")
+    k1, k2 = matrix_key(d1), matrix_key(d2)
+    return (k1 > k2) - (k1 < k2)
+
+
+def is_semi_canonical(dm: DeltaMatrix, relabelings: tuple[tuple[int, ...], ...] = ()) -> bool:
+    """As ``is_canonical`` once the last row and column are dropped."""
+    target = leading_key(dm)
+    return not any(_ordering_exceeds(dm, target, len(dm) - 1, s) for s in (None, *relabelings))
+
+
+def brute_canonical_key(dm: DeltaMatrix) -> tuple[int, ...]:
+    """Reference maximum key over all permutations; test oracle for small r."""
+    r = len(dm)
+    return max(
+        matrix_key(tuple(tuple(dm[p[i]][p[j]] for j in range(r)) for i in range(r)))
+        for p in permutations(range(r))
+    )
+
+
+def delta_matrix(points: tuple[Point, ...], n: int, table: EdgeClassTable | None = None) -> DeltaMatrix:
+    """Class-index matrix of an integral point set realization."""
+    table = table or edge_classes(n)
+    r = len(points)
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            d = delta(points[i], points[j], n)
+            idx = table.index.get(d)
+            if idx is None:
+                raise InvalidInputError(f"points {points[i]}, {points[j]} not at integral distance")
+            rows[i][j] = rows[j][i] = idx
+    return tuple(tuple(row) for row in rows)
+
+
+@dataclass
+class GenerationStats:
+    level_sizes: dict[int, int] = field(default_factory=dict)
+    glue_calls: int = 0
+    glue_wide_results: int = 0  # glue outputs with more than two extensions
+
+
+def extend_level(
+    level: list[PointSetRecord],
+    n: int,
+    mode: str = "any",
+    table: EdgeClassTable | None = None,
+    stats: GenerationStats | None = None,
+) -> list[PointSetRecord]:
+    """One pass of the generation: all semi-canonical (r+1)-records from level r.
+
+    Each canonical x1 is glued with every x2 <= x1 of the same leading block:
+    the new point is scanned from the sphere of x2's last-row class around
+    x1's first witness point, must match x2's remaining row and sit at a
+    nonzero integral distance to x1's last point, and must pass the position
+    filters.  The filter work is shared per x1, and duplicates are dropped
+    early through the key-prefix property key(y) = key(x1) + new row.
+    """
+    table = table or edge_classes(n)
+    cls_of = table.class_of_diff
+    spheres = table.spheres
+    rows = line_table(n).pair_rows
+    filtered = mode in ("semi-general", "general")
+    circles = mode == "general"
+
+    buckets: dict[tuple[int, ...], list[PointSetRecord]] = defaultdict(list)
+    for rec in level:
+        buckets[leading_key(rec.matrix)].append(rec)
+
+    out: dict[tuple[int, ...], PointSetRecord] = {}
+    seen: set[tuple[int, ...]] = set()
+    for x1 in level:
+        if not x1.canonical:
+            continue
+        r = len(x1.matrix)
+        witness = x1.witness
+        base_x, base_y = witness[0]
+        filter_cache: dict[Point, bool] = {}
+
+        def q_passes(q: Point) -> bool:
+            cached = filter_cache.get(q)
+            if cached is not None:
+                return cached
+            ok = True
+            if filtered:
+                d = [(((w[0] - q[0]) % n) * n + (w[1] - q[1]) % n) for w in witness]
+                for i in range(r):
+                    di = d[i]
+                    row = rows[di]
+                    for j in range(i + 1, r):
+                        if (row >> d[j]) & 1:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok and circles:
+                bis = [_point_bisector(q, w, n) for w in witness]
+                for i in range(r):
+                    bi = bis[i]
+                    for j in range(i + 1, r):
+                        pair = bi & bis[j]
+                        if not pair:
+                            continue
+                        for k in range(j + 1, r):
+                            if pair & bis[k]:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        break
+            filter_cache[q] = ok
+            return ok
+
+        for x2 in buckets[leading_key(x1.matrix)]:
+            if x2.key > x1.key:
+                continue
+            if stats is not None:
+                stats.glue_calls += 1
+            target_row = x2.matrix[r - 1][: r - 1]
+            found = 0
+            for s in spheres[target_row[0]]:
+                q = ((base_x + s[0]) % n, (base_y + s[1]) % n)
+                ok = True
+                for i in range(1, r - 1):
+                    w = witness[i]
+                    if cls_of[((q[0] - w[0]) % n) * n + (q[1] - w[1]) % n] != target_row[i]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                w = witness[r - 1]
+                c_last = cls_of[((q[0] - w[0]) % n) * n + (q[1] - w[1]) % n]
+                if c_last <= 0:
+                    continue
+                if not q_passes(q):
+                    continue
+                found += 1
+                ykey = x1.key + target_row + (c_last,)
+                if ykey in seen:
+                    continue
+                seen.add(ykey)
+                new_row = target_row + (c_last,)
+                matrix = tuple(
+                    tuple(x1.matrix[i]) + (new_row[i],) for i in range(r)
+                ) + (new_row + (0,),)
+                if is_semi_canonical(matrix, table.relabelings):
+                    out[ykey] = PointSetRecord(
+                        matrix, witness + (q,), ykey, is_canonical(matrix, table.relabelings)
+                    )
+            if stats is not None and found > 2:
+                stats.glue_wide_results += 1
+    return sorted(out.values(), key=lambda rec: rec.key)
+
+
+def generate_levels(
+    n: int,
+    mode: str = "any",
+    max_level: int | None = None,
+    retain_all: bool = False,
+) -> tuple[dict[int, list[PointSetRecord]], GenerationStats]:
+    """Run the generation to exhaustion.
+
+    Returns the levels dict (all levels with ``retain_all``, otherwise just the
+    last nonempty one, which carries the maximum-cardinality witnesses) plus
+    per-level counts in the stats.
+    """
+    if mode not in MODES:
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    stats = GenerationStats()
+    table = edge_classes(n)
+    levels: dict[int, list[PointSetRecord]] = {}
+    if n == 1:
+        return levels, stats
+    current = seed_L3(n, mode, table)
+    r = 3
+    last: tuple[int, list[PointSetRecord]] | None = None
+    while current:
+        stats.level_sizes[r] = len(current)
+        if retain_all:
+            levels[r] = current
+        last = (r, current)
+        if max_level is not None and r >= max_level:
+            break
+        current = extend_level(current, n, mode, table, stats)
+        r += 1
+    if last is not None and not retain_all:
+        levels[last[0]] = last[1]
+    return levels, stats
 
 
 def test_edge_classes_small():
@@ -94,8 +305,6 @@ def test_canonical_vs_brute_force():
 
 
 def test_exactly_one_canonical_per_orbit():
-    from itertools import permutations
-
     rng = random.Random(3)
     for _ in range(40):
         m = random_matrix(rng, 3)
@@ -143,8 +352,6 @@ def brute_seed_classes(n, mode):
 
 def to_group_canonical(m, table):
     """Reference canonical key under permutations and class relabelings."""
-    from itertools import permutations
-
     r = len(m)
     best = None
     sigmas = list(table.relabelings) + [tuple(range(len(table.classes)))]
@@ -432,13 +639,3 @@ def test_collinear_maximality_at_primes():
         for rec in levels[p]:
             assert is_set_collinear(list(rec.witness), p)
 
-
-def test_dump_level_format():
-    recs = seed_L3(5, "any")
-    text = dump_level(recs)
-    lines = text.splitlines()
-    assert len(lines) == len(recs)
-    first = lines[0].split()
-    assert first[0] == "3"
-    assert len(first) == 1 + 3 + 3  # r, three class indices, three coordinate pairs
-    assert "," in first[4]
