@@ -44,71 +44,42 @@ def _compute_value(args) -> tuple[int, bool, list | None, int]:
     witness = None
     exact = True
     if args.mode == "I":
-        value = I_of(
-            args.n,
-            args.m,
-            strategy=args.variant,
-            use_cartesian=not args.no_cartesian,
-            budget=args.budget,
-        )
+        value = I_of(args.n, args.m, budget=args.budget)
     else:
         if args.m != 2:
             raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
-        if args.variant != "auto" or args.no_cartesian:
-            raise InvalidInputError("--variant and --no-cartesian apply to mode I only")
         value, wit = max_cardinality_witness(args.n, args.mode, budget=args.budget)
         witness = [list(p) for p in wit]
     return value, exact, witness, int((time.monotonic() - t0) * 1000)
 
 
 def cmd_value(args) -> int:
-    # the cache answers the default dispatch only; a cross-check always computes
-    cache = ResultCache(args.cache) if args.variant == "auto" and not args.no_cartesian else None
-    cached = cache.get(args.n, args.m, args.mode) if cache is not None else None
-    if cached is not None and cached.exact:
-        value, exact, witness, elapsed = cached.value, cached.exact, cached.witness, cached.elapsed_ms
-        variant = cached.variant
-    else:
+    cache = ResultCache(args.cache)
+    rec = cache.get(args.n, args.m, args.mode)
+    if rec is None or not rec.exact:
         try:
             value, exact, witness, elapsed = _compute_value(args)
         except SearchTimeout as exc:
             print(f"timeout: best lower bound {exc.lower_bound}", file=sys.stderr)
             print(exc.lower_bound)
             return 2
-        variant = args.variant
-        if cache is not None:
-            cache.put(
-                ResultRecord(
-                    n=args.n,
-                    m=args.m,
-                    mode=args.mode,
-                    value=value,
-                    exact=exact,
-                    witness=witness,
-                    elapsed_ms=elapsed,
-                    variant=variant,
-                )
-            )
-            cache.save()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "m": args.m,
-                    "mode": args.mode,
-                    "value": value,
-                    "exact": exact,
-                    "witness": witness,
-                    "elapsed_ms": elapsed,
-                    "variant": variant,
-                    "version": __version__,
-                },
-                sort_keys=True,
-            )
+        rec = ResultRecord(
+            n=args.n,
+            m=args.m,
+            mode=args.mode,
+            value=value,
+            exact=exact,
+            witness=witness,
+            elapsed_ms=elapsed,
         )
+        cache.put(rec)
+        cache.save()
+    if args.json:
+        payload = rec.payload()
+        payload["version"] = __version__
+        print(json.dumps(payload, sort_keys=True))
     else:
-        print(value)
+        print(rec.value)
     return 0
 
 
@@ -256,10 +227,8 @@ def export_dimacs(graph: DistanceGraph, out_path: str) -> None:
 def cmd_export_dimacs(args) -> int:
     if args.variant == "full":
         graph = build_full(args.n, args.m)
-    elif args.variant == "rooted":
-        graph = build_rooted(args.n, args.m)
     else:
-        raise InvalidInputError(f"cannot export variant {args.variant!r}")
+        graph = build_rooted(args.n, args.m)
     export_dimacs(graph, args.out)
     print(f"wrote {graph.num_vertices} vertices, {graph.num_edges} edges to {args.out}")
     return 0
@@ -304,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--n", type=int, required=True)
     p_value.add_argument("--m", type=int, default=2)
     p_value.add_argument("--mode", choices=MODE_NAMES, default="I")
-    p_value.add_argument("--variant", choices=("auto", "full", "rooted", "delta"), default="auto")
     p_value.add_argument("--budget", type=float, default=None, help="seconds per search")
-    p_value.add_argument("--no-cartesian", action="store_true", help="disable coprime factor splitting")
     p_value.add_argument("--json", action="store_true")
     p_value.add_argument("--cache", default=None, help="cache file path")
     p_value.set_defaults(func=cmd_value)

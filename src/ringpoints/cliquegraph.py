@@ -8,10 +8,8 @@ vectors, indexed by ``point_index``, decides every pair, and a single builder
 turns (vertex list, k, table) into bit-vector adjacency.  The graph variants
 differ only in vertex set and table: the full graph on all of Z_n^m and the
 graph rooted at 0 (one point fixed by translation symmetry) use the integral
-table by default; the family with a fixed anchor edge class (two points fixed)
-keeps the classes numbered at or above the anchor's.  The rooted builder also
-takes the table of the even-modulus weight graph and of the Z_3^m Hamming
-graph.
+table by default.  The rooted builder also takes the table of the even-modulus
+weight graph and of the Z_3^m Hamming graph.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds, vertices preordered by descending degree.  Adjacency rows are
@@ -25,14 +23,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidInputError, ResourceLimitError
-from .geometry import Point, delta, is_integral_delta, point_index
+from .geometry import Point
 from .modring import squares
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 DEFAULT_MAX_VERTICES = 1 << 17
 
@@ -46,7 +42,6 @@ class DistanceGraph:
     variant: str
     labels: list
     adj: list[int]
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_vertices(self) -> int:
@@ -66,9 +61,9 @@ class CliqueResult:
     exact: bool = True
 
 
-def _check_budget_vertices(v: int, max_vertices: int) -> None:
-    if v > max_vertices:
-        raise ResourceLimitError(f"graph on {v} vertices exceeds limit {max_vertices}")
+def _check_budget_vertices(v: int) -> None:
+    if v > DEFAULT_MAX_VERTICES:
+        raise ResourceLimitError(f"graph on {v} vertices exceeds limit {DEFAULT_MAX_VERTICES}")
 
 
 def _all_points(n: int, m: int) -> list[Point]:
@@ -116,9 +111,9 @@ def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[in
     return [int(bytes(map(look, map((code + offset).__sub__, high_first))), 2) for code in codes]
 
 
-def build_full(n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> DistanceGraph:
+def build_full(n: int, m: int) -> DistanceGraph:
     """Graph on all points of Z_n^m, edges between integral-distance pairs."""
-    _check_budget_vertices(n**m, max_vertices)
+    _check_budget_vertices(n**m)
     points = _all_points(n, m)
     ok = _integral_diff_table(n, m)
     return DistanceGraph(n, m, "full", points, _cayley_adjacency(points, n, ok))
@@ -132,61 +127,11 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
     be assumed to belong to a maximum clique of the full Cayley graph, so its
     clique number is 1 + max clique of this graph.
     """
-    _check_budget_vertices(n**m, DEFAULT_MAX_VERTICES)
+    _check_budget_vertices(n**m)
     ok = _integral_diff_table(n, m) if table is None else table
     zero = (0,) * m
     points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
     return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok))
-
-
-def delta_classes(n: int, m: int) -> list[tuple[int, ...]]:
-    """The nonzero integral Lee-reduced difference vectors of Z_n^m, lexicographic."""
-    half = n // 2
-    vecs = [()]
-    for _ in range(m):
-        vecs = [v + (c,) for v in vecs for c in range(half + 1)]
-    return [v for v in vecs if any(v) and is_integral_delta(v, n)]
-
-
-def build_delta_family(
-    n: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> list[DistanceGraph]:
-    """One graph per anchor edge class e_i, with edges restricted to classes >= i.
-
-    A maximum integral point set of size >= 2 can be translated and reflected
-    so that it contains 0 and the Lee-reduced witness of its minimal-numbered
-    edge class, hence I(n, m) = 2 + max over the family of the maximum clique.
-
-    Classes are numbered ascending by the number of common integral neighbors
-    of the anchor pair (ties lexicographic), which keeps the graphs with the
-    most permissive edge condition small.
-    """
-    _check_budget_vertices(n**m, max_vertices)
-    ok = _integral_diff_table(n, m)
-    zero = (0,) * m
-    classes = delta_classes(n, m)
-    if not classes:
-        return []
-    points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
-    # the integral points other than e at integral distance to e, in rooted order
-    common = {
-        e: [p for p in points if p != e and ok[point_index(tuple(a - b for a, b in zip(p, e)), n)]]
-        for e in classes
-    }
-
-    classes.sort(key=lambda e: (len(common[e]), e))
-    # rank[point_index(d)]: number of the class of the Lee-reduced d, -1 if not integral
-    class_index = {e: i for i, e in enumerate(classes)}
-    rank = [class_index.get(delta(d, zero, n), -1) for d in _all_points(n, m)]
-
-    family = []
-    for i, e in enumerate(classes):
-        verts = common[e]
-        adj = _cayley_adjacency(verts, n, [r >= i for r in rank])
-        family.append(
-            DistanceGraph(n, m, "delta", verts, adj, meta={"anchor": e, "class_rank": i})
-        )
-    return family
 
 
 class _BudgetExpired(Exception):
@@ -288,6 +233,7 @@ def max_clique(
     is ignored: the relabelled copy clears it, so self-loops cannot stall the
     greedy warm start.
     """
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     start = time.monotonic()
     v = g.num_vertices
     if v == 0:

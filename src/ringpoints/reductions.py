@@ -24,8 +24,6 @@ from .cliquegraph import (
     DistanceGraph,
     _all_points,
     _rooted_orbits,
-    build_delta_family,
-    build_full,
     build_rooted,
     max_clique,
 )
@@ -249,53 +247,17 @@ def _solve_rooted(n: int, m: int, budget: float | None) -> int:
     return _rooted_value(build_rooted(n, m), _rooted_seed(n, n, m), budget)
 
 
-def _solve_delta(n: int, m: int, budget: float | None) -> int:
-    family = build_delta_family(n, m)
-    if not family:
-        return _solve_rooted(n, m, budget)
-    best = 2
-    for g in family:
-        res = max_clique(g, budget=budget)
-        if not res.exact:
-            raise SearchTimeout(f"I({n},{m}) delta-family search hit budget", max(best, 2 + res.size))
-        best = max(best, 2 + res.size)
-    return best
-
-
-def _solve_full(n: int, m: int, budget: float | None) -> int:
-    res = max_clique(build_full(n, m), budget=budget)
-    if not res.exact:
-        raise SearchTimeout(f"I({n},{m}) full search hit budget", res.size)
-    return res.size
-
-
-def I_of(
-    n: int,
-    m: int,
-    strategy: str = "auto",
-    use_cartesian: bool = True,
-    budget: float | None = None,
-) -> int:
+def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None) -> int:
     """Exact maximum cardinality of an integral point set over Z_n^m.
 
-    "auto" dispatches the closed forms (m = 1, n <= 2), splits composite n into
-    coprime prime-power factors, reduces even moduli to the half-ring weight
-    graph, and otherwise runs the rooted clique search.  Explicit strategies
-    ("full", "rooted", "delta") run the named graph variant directly, for
-    cross-checking.  A budget expiry raises SearchTimeout carrying the best
+    Dispatches the closed forms (m = 1, n <= 2), splits composite n into
+    coprime prime-power factors unless ``use_cartesian`` is false, reduces
+    even moduli to the half-ring weight graph, and otherwise runs the rooted
+    clique search.  A budget expiry raises SearchTimeout carrying the best
     proven lower bound.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be positive")
-    if strategy == "full":
-        return _solve_full(n, m, budget)
-    if strategy == "rooted":
-        return _solve_rooted(n, m, budget)
-    if strategy == "delta":
-        return _solve_delta(n, m, budget)
-    if strategy != "auto":
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-
     if n == 1:
         return 1
     if m == 1:
@@ -309,7 +271,7 @@ def I_of(
             out = 1
             for pos, q in enumerate(factors):
                 try:
-                    out *= I_of(q, m, "auto", use_cartesian, budget)
+                    out *= I_of(q, m, use_cartesian, budget)
                 except SearchTimeout as exc:
                     # finished factors are exact; each remaining factor q has
                     # the axis line, so I(q, m) >= q

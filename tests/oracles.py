@@ -1,0 +1,76 @@
+"""Independent I(n, m) computations that the tests compare the library against.
+
+The library computes every exact I(n, m) through one rooted, orbit-branched
+search.  Two other graph formulations give the same clique number and serve
+here as cross-checks: the full distance graph on all of Z_n^m, and the family
+of graphs with a fixed anchor edge class (two points fixed).
+"""
+
+from ringpoints.cliquegraph import (
+    DistanceGraph,
+    _all_points,
+    _cayley_adjacency,
+    _integral_diff_table,
+    build_full,
+    max_clique,
+)
+from ringpoints.geometry import delta, is_integral_delta, point_index
+from ringpoints.reductions import _solve_rooted
+
+
+def full_value(n, m):
+    """I(n, m) as the clique number of the full distance graph."""
+    return max_clique(build_full(n, m)).size
+
+
+def delta_classes(n: int, m: int) -> list[tuple[int, ...]]:
+    """The nonzero integral Lee-reduced difference vectors of Z_n^m, lexicographic."""
+    half = n // 2
+    vecs = [()]
+    for _ in range(m):
+        vecs = [v + (c,) for v in vecs for c in range(half + 1)]
+    return [v for v in vecs if any(v) and is_integral_delta(v, n)]
+
+
+def build_delta_family(n: int, m: int) -> list[tuple[tuple[int, ...], int, DistanceGraph]]:
+    """One (anchor e_i, class rank i, graph) per edge class, edges restricted to classes >= i.
+
+    A maximum integral point set of size >= 2 can be translated and reflected
+    so that it contains 0 and the Lee-reduced witness of its minimal-numbered
+    edge class, hence I(n, m) = 2 + max over the family of the maximum clique.
+
+    Classes are numbered ascending by the number of common integral neighbors
+    of the anchor pair (ties lexicographic), which keeps the graphs with the
+    most permissive edge condition small.
+    """
+    ok = _integral_diff_table(n, m)
+    zero = (0,) * m
+    classes = delta_classes(n, m)
+    if not classes:
+        return []
+    points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
+    # the integral points other than e at integral distance to e, in rooted order
+    common = {
+        e: [p for p in points if p != e and ok[point_index(tuple(a - b for a, b in zip(p, e)), n)]]
+        for e in classes
+    }
+
+    classes.sort(key=lambda e: (len(common[e]), e))
+    # rank[point_index(d)]: number of the class of the Lee-reduced d, -1 if not integral
+    class_index = {e: i for i, e in enumerate(classes)}
+    rank = [class_index.get(delta(d, zero, n), -1) for d in _all_points(n, m)]
+
+    family = []
+    for i, e in enumerate(classes):
+        verts = common[e]
+        adj = _cayley_adjacency(verts, n, [r >= i for r in rank])
+        family.append((e, i, DistanceGraph(n, m, "delta", verts, adj)))
+    return family
+
+
+def delta_value(n, m):
+    """I(n, m) as 2 + the largest clique over the anchor-edge family."""
+    family = build_delta_family(n, m)
+    if not family:
+        return _solve_rooted(n, m, None)
+    return max(2 + max_clique(g).size for _, _, g in family)

@@ -8,6 +8,7 @@ import random
 import time
 from math import gcd
 
+from oracles import delta_value, full_value
 from ringpoints.charfield import (
     cayley_menger,
     char_consistent,
@@ -21,6 +22,7 @@ from ringpoints.modring import alpha
 from ringpoints.orderly import max_cardinality
 from ringpoints.reductions import (
     I_of,
+    _solve_rooted,
     even_reduction_value,
     hamming_I3_value,
     ilig_set,
@@ -65,7 +67,7 @@ def test_criterion_3_hamming_formulation():
     for m, expected in want.items():
         assert hamming_I3_value(m) == expected, m
     for m in (2, 3, 4):
-        assert hamming_I3_value(m) == I_of(3, m, strategy="rooted"), m
+        assert hamming_I3_value(m) == _solve_rooted(3, m, None), m
     elapsed = time.monotonic() - t0
     report(3, elapsed, "I(3,m) for m = 2..6 via Hamming distances, equal to direct search for m <= 4")
 
@@ -237,9 +239,7 @@ def test_criterion_11_solver_trust():
 
     for n in range(2, 9):
         for m in (1, 2, 3):
-            vals = {
-                I_of(n, m, strategy=s) for s in ("full", "rooted", "delta")
-            }
+            vals = {full_value(n, m), _solve_rooted(n, m, None), delta_value(n, m)}
             assert len(vals) == 1, (n, m, vals)
     elapsed = time.monotonic() - t0
     report(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ringpoints.cache import ResultCache, ResultRecord
 from ringpoints.cli import main
 from ringpoints.geometry import is_integral
@@ -52,25 +54,18 @@ def test_value_invalid_input(tmp_path, capsys):
 
 def test_value_timeout_exit_code(tmp_path, capsys):
     code, out, err = run(
-        ["value", "--n", "47", "--m", "2", "--budget", "0.05", "--no-cartesian",
-         "--cache", str(tmp_path / "c.json")],
+        ["value", "--n", "47", "--m", "2", "--budget", "0.05", "--cache", str(tmp_path / "c.json")],
         capsys,
     )
     assert code == 2
     assert "lower bound" in err
 
 
-def test_value_position_modes_reject_clique_flags(tmp_path, capsys):
-    # the position maxima have one engine; the I(n, m) cross-check flags do not reach it
-    cache = str(tmp_path / "c.json")
-    for flags in (["--variant", "delta"], ["--no-cartesian"], ["--variant", "full", "--no-cartesian"]):
-        for mode in ("semi-general", "general"):
-            code, out, err = run(
-                ["value", "--n", "13", "--m", "2", "--mode", mode, "--json", "--cache", cache, *flags],
-                capsys,
-            )
-            assert code == 1 and out == "", (mode, flags)
-            assert "error" in err
+def test_value_has_one_dispatch():
+    # I(n, m) has one code path; the graph-variant cross-checks live in the tests
+    for flags in (["--variant", "full"], ["--no-cartesian"]):
+        with pytest.raises(SystemExit):
+            main(["value", "--n", "9", "--m", "2", *flags])
 
 
 def test_cache_round_trip(tmp_path):
@@ -130,21 +125,6 @@ def test_value_uses_cache(tmp_path, capsys):
     code, out, _ = run(["value", "--n", "3", "--m", "2", "--cache", path], capsys)
     assert code == 0
     assert out.strip() == "99"
-
-
-def test_cross_check_bypasses_cache(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
-    code, out, _ = run(["value", "--n", "9", "--m", "2", "--cache", path], capsys)
-    assert code == 0 and out.strip() == "27"
-    code, out, _ = run(
-        ["value", "--n", "9", "--m", "2", "--variant", "full", "--no-cartesian", "--json",
-         "--cache", path],
-        capsys,
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["variant"] == "full"
-    assert data["value"] == 27
 
 
 def test_table2(tmp_path, capsys, monkeypatch):

@@ -1,20 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 
+from oracles import build_delta_family, delta_classes, delta_value
+import ringpoints
 from ringpoints.cliquegraph import (
     DistanceGraph,
-    build_delta_family,
     build_full,
     build_rooted,
-    delta_classes,
     max_clique,
     _rooted_orbits,
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral
-from ringpoints.reductions import I_of, even_reduction_graph
+from ringpoints.reductions import I_of, _solve_rooted, even_reduction_graph
 
 
 def complete_graph(v):
@@ -118,7 +121,9 @@ def test_build_full_examples():
 
 def test_build_full_budget():
     with pytest.raises(ResourceLimitError):
-        build_full(100, 3, max_vertices=1000)
+        build_full(100, 3)
+    with pytest.raises(ResourceLimitError):
+        build_rooted(100, 3)
 
 
 def test_build_rooted_examples():
@@ -143,23 +148,22 @@ def test_delta_classes():
 
 def test_delta_family_consistency():
     for n in range(3, 9):
-        assert I_of(n, 2, strategy="delta") == I_of(n, 2, strategy="rooted")
+        assert delta_value(n, 2) == _solve_rooted(n, 2, None)
 
 
 def test_delta_family_structure():
     for n in (5, 6):
         family = build_delta_family(n, 2)
         assert family, f"Z_{n}^2 has integral classes"
-        rank = {g.meta["anchor"]: g.meta["class_rank"] for g in family}
-        for g in family:
-            anchor = g.meta["anchor"]
+        rank = {anchor: class_rank for anchor, class_rank, _ in family}
+        for anchor, class_rank, g in family:
             for label in g.labels:
                 assert is_integral(label, (0, 0), n)
                 assert is_integral(label, anchor, n)
             for i, u in enumerate(g.labels):
                 for j, w in enumerate(g.labels):
                     edge = (g.adj[i] >> j) & 1 == 1
-                    assert edge == (rank.get(delta(u, w, n), -1) >= g.meta["class_rank"])
+                    assert edge == (rank.get(delta(u, w, n), -1) >= class_rank)
 
 
 def test_I_of_closed_forms():
@@ -180,8 +184,6 @@ def test_I_of_table_small():
 def test_I_of_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         I_of(0, 2)
-    with pytest.raises(InvalidInputError):
-        I_of(3, 2, strategy="nope")
 
 
 def test_I_of_timeout_carries_bound():
@@ -240,6 +242,16 @@ def test_orbit_branching_matches_plain_search():
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert is_integral(pts[i], pts[j], n)
+
+
+def test_import_keeps_recursion_limit():
+    # the solver raises the limit when it runs, not when the package is imported
+    src = os.path.dirname(os.path.dirname(ringpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; before = sys.getrecursionlimit(); import ringpoints; print(before, sys.getrecursionlimit())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    before, after = out.stdout.split()
+    assert before == after
 
 
 def test_witness_pairwise_integral():

@@ -170,16 +170,18 @@ def brute_concyclic(pts, n):
     return False
 
 
+def distinct_quads(rng, pts, count):
+    """count distinct sorted quadruples of pts, or all of them when fewer exist."""
+    quads = set()
+    while len(quads) < min(count, comb(len(pts), 4)):
+        quads.add(tuple(sorted(rng.sample(pts, 4))))
+    return sorted(quads)
+
+
 def test_concyclic_matches_brute_force():
     rng = random.Random(11)
     for n in (2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 18, 25):
-        pts = all_points(n)
-        if n <= 9:
-            quads = list(combinations(pts, 4))
-            rng.shuffle(quads)
-        else:  # too many quadruples to list
-            quads = [tuple(rng.sample(pts, 4)) for _ in range(250)]
-        for quad in quads[:250]:
+        for quad in distinct_quads(rng, all_points(n), 250):
             assert is_concyclic(*quad, n) == brute_concyclic(quad, n), (n, quad)
 
 
@@ -209,10 +211,7 @@ def test_cocircular_vs_concyclic():
     # concyclic always implies cocircular
     rng = random.Random(5)
     for n in (4, 5, 7, 8):
-        pts = all_points(n)
-        quads = list(combinations(pts, 4))
-        rng.shuffle(quads)
-        for quad in quads[:150]:
+        for quad in distinct_quads(rng, all_points(n), 150):
             if is_concyclic(*quad, n):
                 assert is_cocircular(*quad, n)
 
@@ -229,10 +228,5 @@ def brute_cocircular(pts, n):
 def test_cocircular_matches_brute_force():
     rng = random.Random(17)
     for n in (2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25):
-        pts = all_points(n)
-        total = comb(len(pts), 4)
-        quads = set()
-        while len(quads) < min(200, total):
-            quads.add(tuple(sorted(rng.sample(pts, 4))))
-        for quad in sorted(quads):
+        for quad in distinct_quads(rng, all_points(n), 200):
             assert is_cocircular(*quad, n) == brute_cocircular(quad, n), (n, quad)

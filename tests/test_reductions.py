@@ -14,6 +14,7 @@ from ringpoints.modring import squares
 from ringpoints.reductions import (
     I_of,
     _hamming_table,
+    _solve_rooted,
     best_construction,
     cartesian_compose,
     conjectured_I2,
@@ -135,7 +136,7 @@ def test_even_reduction_graph_edges_match_weight():
 def test_even_reduction_matches_direct():
     for two_n in (2, 4, 6, 8):
         for m in (1, 2, 3):
-            direct = I_of(two_n, m, strategy="rooted")
+            direct = _solve_rooted(two_n, m, None)
             assert even_reduction_value(two_n, m) == direct, (two_n, m)
 
 
@@ -176,7 +177,7 @@ def test_hamming_table_is_integral_table():
 
 def test_hamming_matches_direct():
     for m in (2, 3, 4):
-        assert hamming_I3_value(m) == I_of(3, m, strategy="rooted")
+        assert hamming_I3_value(m) == _solve_rooted(3, m, None)
 
 
 def test_hamming_weight_orbits():
