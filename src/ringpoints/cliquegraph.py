@@ -39,7 +39,6 @@ class DistanceGraph:
 
     n: int
     m: int
-    variant: str
     labels: list
     adj: list[int]
 
@@ -116,7 +115,7 @@ def build_full(n: int, m: int) -> DistanceGraph:
     _check_budget_vertices(n**m)
     points = _all_points(n, m)
     ok = _integral_diff_table(n, m)
-    return DistanceGraph(n, m, "full", points, _cayley_adjacency(points, n, ok))
+    return DistanceGraph(n, m, points, _cayley_adjacency(points, n, ok))
 
 
 def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGraph:
@@ -131,7 +130,7 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
     ok = _integral_diff_table(n, m) if table is None else table
     zero = (0,) * m
     points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
-    return DistanceGraph(n, m, "rooted", points, _cayley_adjacency(points, n, ok))
+    return DistanceGraph(n, m, points, _cayley_adjacency(points, n, ok))
 
 
 class _BudgetExpired(Exception):

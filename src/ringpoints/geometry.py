@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .errors import InvalidInputError
 from .modring import lee_weight, squares
@@ -126,18 +125,13 @@ def collinear_det(p1: Point, p2: Point, p3: Point, n: int) -> bool:
     return d % n == 0
 
 
-def _solve_linear(t: int, c: int, n: int) -> list[int]:
-    """All b in Z_n with t*b = c mod n."""
-    t %= n
-    c %= n
-    g = gcd(t, n)
-    if c % g:
-        return []
-    if t == 0:
-        return list(range(n))
-    n_, t_, c_ = n // g, t // g, (c // g)
-    b0 = c_ * pow(t_, -1, n_) % n_
-    return [b0 + k * n_ for k in range(g)]
+@lru_cache(maxsize=None)
+def _row_patterns(t: int, n: int) -> tuple[int, ...]:
+    """``patterns[r]``: bitmask over b in Z_n of the solutions of t*b = r (mod n)."""
+    patterns = [0] * n
+    for b in range(n):
+        patterns[t * b % n] |= 1 << b
+    return tuple(patterns)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -146,14 +140,16 @@ def _bisector_mask(dx: int, dy: int, c: int, n: int) -> int:
 
     The centers equidistant (in the squared sense) from points p and p' with
     difference (dx, dy) and norm difference c solve 2a dx + 2b dy = c (mod n);
-    bit a*n + b marks a solution.  Four points share a center iff three such
-    masks, each pairing the first point with another, have a common bit.
+    bit a*n + b marks a solution.  Row a holds the solutions b of
+    2b dy = c - 2a dx, one cached pattern of ``_row_patterns``.  Four points
+    share a center iff three such masks, each pairing the first point with
+    another, have a common bit.
     """
-    tx, ty = 2 * dx % n, 2 * dy % n
+    tx = 2 * dx % n
+    patterns = _row_patterns(2 * dy % n, n)
     mask = 0
     for a in range(n):
-        for b in _solve_linear(ty, c - tx * a, n):
-            mask |= 1 << (a * n + b)
+        mask |= patterns[(c - tx * a) % n] << (a * n)
     return mask
 
 

@@ -18,6 +18,12 @@ at least the image of each of its classes under the identity and every
 relabeling, a per-class table (``_class_tops``), and its second point is
 pinned to the first point of its leading class's sphere.  Circles are decided
 by the bisector masks of ``geometry``.
+
+Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
+translated on the torus by ``_shift``: candidates, adjacency rows and the
+candidates on a line through two of them are intersections of translated
+masks, not scans of all n^2 points.  Each adjacent pair's bisector mask is
+computed once per triangle, into a flat table the circle filter reads.
 """
 
 from __future__ import annotations
@@ -234,6 +240,26 @@ def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> l
     return sorted(out, key=lambda rec: rec.key)
 
 
+@lru_cache(maxsize=None)
+def _low_columns(k: int, n: int) -> int:
+    """Bitmask of the points (a, b) of Z_n^2 with b < k; k = n gives all points."""
+    return ((1 << k) - 1) * (((1 << n * n) - 1) // ((1 << n) - 1))
+
+
+def _shift(mask: int, x: int, y: int, n: int) -> int:
+    """Translate a bitmask over Z_n^2 (bit a*n + b for (a, b)) by (x, y), 0 <= x, y < n.
+
+    Whole rows rotate by x*n bits, then each row rotates by y bits: the
+    columns below n - y move up by y, the others wrap around to the bottom.
+    """
+    if x:
+        mask = ((mask << x * n) | (mask >> (n - x) * n)) & _low_columns(n, n)
+    if y:
+        kept = mask & _low_columns(n - y, n)
+        mask = (kept << y) | ((mask ^ kept) >> (n - y))
+    return mask
+
+
 def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum cardinality by a clique search around each canonical triangle.
 
@@ -256,17 +282,30 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     general mode circles through three, drop candidates as points are
     chosen.  Seeds run in descending key order, as large leading classes
     admit the most candidates and give a large incumbent early.
+
+    The filters work on bitmasks over Z_n^2 moved by ``_shift``: the points
+    at an admissible difference from p are the admissible differences
+    translated by p, and the points on a line through p and q are
+    ``pair_rows[q - p]`` translated by p.  Per seed, ``bisectors`` holds each
+    adjacent pair's bisector mask, computed once when its edge is tested, and
+    ``lines`` the line masks in candidate indices, filled on first use.
     """
     from .geometry import line_table
 
     start = time.monotonic()
     table = edge_classes(n)
     tops = _class_tops(table)
-    cls_of = table.class_of_diff
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
-    ncls = len(table.classes)
+
+    # admissible[t]: the differences whose class c > 0 has tops[c] <= t
+    admissible = [0] * len(table.classes)
+    for d, c in enumerate(table.class_of_diff):
+        if c > 0:
+            admissible[tops[c]] |= 1 << d
+    for t in range(1, len(admissible)):
+        admissible[t] |= admissible[t - 1]
 
     seeds = [rec for rec in seed_L3(n, mode, table) if rec.canonical]
     best = 3 if seeds else 0
@@ -277,78 +316,85 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
         if budget is not None and time.monotonic() - start > budget:
             raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best)
 
-    def seed_candidates(witness: tuple[Point, ...], allowed: list[bool]) -> tuple[list, ...]:
-        """Candidate points, their difference indices to the witness and, in
-        general mode, their bisector unions and pairwise overlaps with it."""
-        points, diffs, spans, pairs = [], [], [], []
+    def seed_candidates(witness: tuple[Point, ...], allowed: int) -> tuple[list, ...]:
+        """Candidate points in row-major order and, in general mode, their
+        bisector unions and pairwise overlaps with the witness."""
+        cand = allowed
+        for wx, wy in witness:
+            cand &= _shift(allowed, wx, wy, n)
+        if filtered:
+            for a, (ax, ay) in enumerate(witness):
+                for bx, by in witness[a + 1 :]:
+                    cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
+        points, spans, pairs = [], [], []
         w1, w2, w3 = witness
-        for x in range(n):
-            for y in range(n):
-                d1 = ((w1[0] - x) % n) * n + (w1[1] - y) % n
-                d2 = ((w2[0] - x) % n) * n + (w2[1] - y) % n
-                d3 = ((w3[0] - x) % n) * n + (w3[1] - y) % n
-                if not (allowed[cls_of[d1]] and allowed[cls_of[d2]] and allowed[cls_of[d3]]):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            p = divmod(low.bit_length() - 1, n)
+            if circles:
+                b1 = _point_bisector(p, w1, n)
+                b2 = _point_bisector(p, w2, n)
+                b3 = _point_bisector(p, w3, n)
+                if b1 & b2 & b3:
                     continue
-                if filtered and (
-                    (rows[d1] >> d2) & 1 or (rows[d1] >> d3) & 1 or (rows[d2] >> d3) & 1
-                ):
-                    continue
-                p = (x, y)
-                if circles:
-                    b1 = _point_bisector(p, w1, n)
-                    b2 = _point_bisector(p, w2, n)
-                    b3 = _point_bisector(p, w3, n)
-                    if b1 & b2 & b3:
-                        continue
-                    spans.append(b1 | b2 | b3)
-                    pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
-                points.append(p)
-                diffs.append((d1, d2, d3))
-        return points, diffs, spans, pairs
+                spans.append(b1 | b2 | b3)
+                pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
+            points.append(p)
+        return points, spans, pairs
 
     for rec in reversed(seeds):
         check_budget()
         witness = rec.witness
-        top = rec.key[0]
-        # index -1 (non-integral difference) reads the trailing False
-        allowed = [0 < c and tops[c] <= top for c in range(ncls)] + [False]
-        points, diffs, spans, pairs = seed_candidates(witness, allowed)
+        allowed = admissible[rec.key[0]]
+        points, spans, pairs = seed_candidates(witness, allowed)
         size = len(points)
         if 3 + size <= best:
             continue
 
+        index_at = {x * n + y: i for i, (x, y) in enumerate(points)}
+        occupied = sum(1 << pos for pos in index_at)
         adj = [0] * size
-        for i in range(size):
-            px, py = p = points[i]
-            dl = diffs[i]
-            for j in range(i + 1, size):
-                qx, qy = points[j]
-                d = ((qx - px) % n) * n + (qy - py) % n
-                if not allowed[cls_of[d]]:
-                    continue
-                if filtered:
-                    row = rows[d]
-                    if (row >> dl[0]) & 1 or (row >> dl[1]) & 1 or (row >> dl[2]) & 1:
+        bisectors: list[int] = [0] * (size * size if circles else 0)
+        for i, p in enumerate(points):
+            px, py = p
+            row = _shift(allowed, px, py, n) & occupied & -(2 << (px * n + py))
+            if filtered:  # drop the lines through p and a witness point
+                through = 0
+                for wx, wy in witness:
+                    through |= rows[((wx - px) % n) * n + (wy - py) % n]
+                row &= ~_shift(through, px, py, n)
+            while row:
+                low = row & -row
+                row ^= low
+                j = index_at[low.bit_length() - 1]
+                if circles:
+                    bis = _point_bisector(p, points[j], n)
+                    if bis & pairs[i]:
                         continue
-                if circles and _point_bisector(p, points[j], n) & pairs[i]:
-                    continue
+                    bisectors[i * size + j] = bisectors[j * size + i] = bis
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 
-        line_cache: dict[int, int] = {}
+        lines: list[int | None] = [None] * (size * size if filtered else 0)
+        offsets: list[int | None] = [None] * size
 
         def line_mask(u: int, v: int) -> int:
-            """Candidates on the cyclic line through candidates u and v."""
-            mask = line_cache.get(u * size + v)
-            if mask is None:
-                ux, uy = points[u]
-                vx, vy = points[v]
-                row = rows[((vx - ux) % n) * n + (vy - uy) % n]
-                mask = 0
-                for j, (x, y) in enumerate(points):
-                    if (row >> (((x - ux) % n) * n + (y - uy) % n)) & 1:
-                        mask |= 1 << j
-                line_cache[u * size + v] = mask
+            """Candidates on the cyclic line through candidates u and v, stored
+            for (u, v) and (v, u); offsets[u] holds the candidates' offsets from u."""
+            ux, uy = points[u]
+            vx, vy = points[v]
+            occ = offsets[u]
+            if occ is None:
+                occ = offsets[u] = _shift(occupied, -ux % n, -uy % n, n)
+            hits = rows[((vx - ux) % n) * n + (vy - uy) % n] & occ
+            mask = 0
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                ox, oy = divmod(low.bit_length() - 1, n)
+                mask |= 1 << index_at[((ox + ux) % n) * n + (oy + uy) % n]
+            lines[u * size + v] = lines[v * size + u] = mask
             return mask
 
         chosen: list[int] = []
@@ -390,17 +436,18 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                 sub = cand & adj[v]
                 if filtered:
                     for u in chosen:
-                        sub &= ~line_mask(u, v)
+                        line = lines[u * size + v]
+                        sub &= ~(line_mask(u, v) if line is None else line)
                 sub_spans: dict[int, int] = {}
                 sub_pairs: dict[int, int] = {}
                 if circles:
-                    vp = points[v]
+                    row = v * size
                     rest = sub
                     while rest:
                         low = rest & -rest
                         p = low.bit_length() - 1
                         rest ^= low
-                        bis = _point_bisector(points[p], vp, n)
+                        bis = bisectors[row + p]
                         if bis & pairs[p]:
                             sub ^= low
                             continue

@@ -64,7 +64,7 @@ def build_delta_family(n: int, m: int) -> list[tuple[tuple[int, ...], int, Dista
     for i, e in enumerate(classes):
         verts = common[e]
         adj = _cayley_adjacency(verts, n, [r >= i for r in rank])
-        family.append((e, i, DistanceGraph(n, m, "delta", verts, adj)))
+        family.append((e, i, DistanceGraph(n, m, verts, adj)))
     return family
 
 

@@ -233,7 +233,7 @@ def test_criterion_11_solver_trust():
                 if rng.random() < p:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        g = DistanceGraph(0, 0, "random", list(range(v)), adj)
+        g = DistanceGraph(0, 0, list(range(v)), adj)
         want = naive(adj, v)
         assert max_clique(g).size == want, trial
 

@@ -7,7 +7,9 @@ loaded by file path, because ``bench/child.py`` runs a workload when imported.
 The source is searched the way the benchmark searches it: by compiling each
 module and walking its nested code objects.  Reachability is checked on small
 stand-ins for the workloads, each profiled in a fresh interpreter as the
-benchmark does, so no cache filled by an earlier test hides a call.
+benchmark does, so no cache filled by an earlier test hides a call.  The
+same profiling pins the orderly search's node and canonicity-test counts on
+three small cells.
 """
 
 import importlib.util
@@ -35,6 +37,20 @@ json.dump(sorted({{
 }}), sys.stdout)
 """
 
+# Prints the call counts of the orderly search functions in one cell.
+_COUNT_CHILD = """
+import cProfile, json, os, pstats, sys
+from ringpoints import orderly
+profile = cProfile.Profile()
+profile.runcall(orderly.max_cardinality_witness, {n}, {mode!r})
+here = os.path.realpath(orderly.__file__)
+counts = {{}}
+for (filename, _line, fn), (_cc, calls, *_rest) in pstats.Stats(profile).stats.items():
+    if os.path.realpath(filename) == here:
+        counts[fn] = counts.get(fn, 0) + calls
+json.dump(counts, sys.stdout)
+"""
+
 
 def _layers():
     spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
@@ -43,13 +59,17 @@ def _layers():
     return layers
 
 
-def _profiled_functions(call: str) -> set[tuple[str, str]]:
+def _run_child(source: str):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", _PROFILE_CHILD.format(call=call)],
+        [sys.executable, "-c", source],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
-    return {tuple(pair) for pair in json.loads(out)}
+    return json.loads(out)
+
+
+def _profiled_functions(call: str) -> set[tuple[str, str]]:
+    return {tuple(pair) for pair in _run_child(_PROFILE_CHILD.format(call=call))}
 
 
 def _defined_names(module: str) -> set[str]:
@@ -83,3 +103,12 @@ def test_profiled_functions_are_reached():
         if not set(metric.functions) & seen[workload]
     ]
     assert not missing, f"layer metrics whose functions are not called on their workloads: {missing}"
+
+
+def test_orderly_search_shape_is_pinned():
+    # orderly.nodes and orderly.canon_tests count these calls; a faster filter
+    # must leave the searched branches, and so both counts, exactly as they are
+    cells = ((13, "general", 24, 282), (17, "semi-general", 68, 848), (20, "general", 668, 1286))
+    for n, mode, nodes, canon_tests in cells:
+        counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))
+        assert (counts.get("descend"), counts.get("_ordering_exceeds")) == (nodes, canon_tests), (n, mode)

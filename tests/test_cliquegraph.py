@@ -23,14 +23,14 @@ from ringpoints.reductions import I_of, _solve_rooted, even_reduction_graph
 def complete_graph(v):
     full = (1 << v) - 1
     adj = [(full ^ (1 << i)) for i in range(v)]
-    return DistanceGraph(0, 0, "test", list(range(v)), adj)
+    return DistanceGraph(0, 0, list(range(v)), adj)
 
 
 def test_max_clique_trivial():
     assert max_clique(complete_graph(8)).size == 8
-    edgeless = DistanceGraph(0, 0, "test", list(range(5)), [0] * 5)
+    edgeless = DistanceGraph(0, 0, list(range(5)), [0] * 5)
     assert max_clique(edgeless).size == 1
-    empty = DistanceGraph(0, 0, "test", [], [])
+    empty = DistanceGraph(0, 0, [], [])
     assert max_clique(empty).size == 0
 
 
@@ -59,7 +59,7 @@ def random_graph(rng, v, p):
             if rng.random() < p:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return DistanceGraph(0, 0, "random", list(range(v)), adj)
+    return DistanceGraph(0, 0, list(range(v)), adj)
 
 
 def test_solver_against_naive_oracle():
@@ -72,7 +72,7 @@ def test_solver_against_naive_oracle():
         # singleton orbits (the trivial group) branch on every vertex in turn
         assert max_clique(g, orbits=[[i] for i in range(v)]).size == res.size
         # every row's own bit set (a self-loop per vertex) changes nothing
-        looped = DistanceGraph(0, 0, "test", g.labels, [row | 1 << i for i, row in enumerate(g.adj)])
+        looped = DistanceGraph(0, 0, g.labels, [row | 1 << i for i, row in enumerate(g.adj)])
         assert max_clique(looped).size == res.size
         # witness is a clique of the reported size
         idx = [g.labels.index(x) for x in res.witness]

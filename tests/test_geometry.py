@@ -6,6 +6,7 @@ import pytest
 
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
+    _bisector_mask,
     collinear_det,
     concyclic_det,
     delta,
@@ -230,3 +231,17 @@ def test_cocircular_matches_brute_force():
     for n in (2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25):
         for quad in distinct_quads(rng, all_points(n), 200):
             assert is_cocircular(*quad, n) == brute_cocircular(quad, n), (n, quad)
+
+
+def test_bisector_mask_matches_center_scan():
+    # even moduli and zero divisors: 2 dy and 2 dx need not be units
+    for n in (4, 6, 8, 9, 12):
+        for dx in range(n):
+            for dy in range(n):
+                for c in range(n):
+                    expect = 0
+                    for a in range(n):
+                        for b in range(n):
+                            if (2 * a * dx + 2 * b * dy - c) % n == 0:
+                                expect |= 1 << (a * n + b)
+                    assert _bisector_mask(dx, dy, c, n) == expect, (n, dx, dy, c)

@@ -5,9 +5,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from ringpoints import geometry
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
+    LineTable,
     Point,
     delta,
     is_cocircular,
@@ -26,6 +28,7 @@ from ringpoints.orderly import (
     _make_record,
     _ordering_exceeds,
     _point_bisector,
+    _shift,
     edge_classes,
     is_canonical,
     matrix_key,
@@ -33,6 +36,7 @@ from ringpoints.orderly import (
     max_cardinality_witness,
     seed_L3,
 )
+from ringpoints.tables import TABLE2
 
 
 # The level-by-level orderly generation: the reference that max_cardinality's
@@ -545,6 +549,39 @@ def test_max_cardinality_values():
     assert max_cardinality(18, "general") == 8
     assert max_cardinality(1, "any") == 1
     assert max_cardinality(3, "semi-general") == 2  # no non-collinear triangle exists
+
+
+def test_line_definition_reproduces_table2(monkeypatch):
+    # Table 2 counts cyclic lines {p + w t}; the determinant test
+    # det(q - p, r - p) = 0 (mod n) also holds for triples off every cyclic
+    # line at composite n, and gives a smaller semi-general maximum at n = 8
+    def det_line_table(n):
+        n2 = n * n
+        rows = tuple(
+            sum(1 << r for r in range(n2) if ((q // n) * (r % n) - (q % n) * (r // n)) % n == 0)
+            for q in range(n2)
+        )
+        return LineTable(n, (), rows)
+
+    assert TABLE2[8] == (6, True)
+    assert max_cardinality(8, "semi-general") == 6
+    monkeypatch.setattr(geometry, "line_table", det_line_table)
+    assert max_cardinality(8, "semi-general") == 4
+
+
+def test_shift_translates_every_point():
+    rng = random.Random(23)
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(4):
+            mask = rng.getrandbits(n * n)
+            for x in range(n):
+                for y in range(n):
+                    expect = 0
+                    for a in range(n):
+                        for b in range(n):
+                            if (mask >> (a * n + b)) & 1:
+                                expect |= 1 << (((a + x) % n) * n + (b + y) % n)
+                    assert _shift(mask, x, y, n) == expect, (n, mask, x, y)
 
 
 def test_max_cardinality_budget():
