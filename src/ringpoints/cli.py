@@ -38,11 +38,10 @@ from .tables import TABLE1, TABLE1_COLUMNS, TABLE2, TABLE3
 MODE_NAMES = ("I", "semi-general", "general")
 
 
-def _compute_value(args) -> tuple[int, bool, list | None, int]:
-    """(value, exact, witness, elapsed_ms) for the requested mode."""
+def _compute_value(args) -> tuple[int, list | None, int]:
+    """(value, witness, elapsed_ms) for the requested mode; a search out of budget raises."""
     t0 = time.monotonic()
     witness = None
-    exact = True
     if args.mode == "I":
         value = I_of(args.n, args.m, budget=args.budget)
     else:
@@ -50,7 +49,7 @@ def _compute_value(args) -> tuple[int, bool, list | None, int]:
             raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
         value, wit = max_cardinality_witness(args.n, args.mode, budget=args.budget)
         witness = [list(p) for p in wit]
-    return value, exact, witness, int((time.monotonic() - t0) * 1000)
+    return value, witness, int((time.monotonic() - t0) * 1000)
 
 
 def cmd_value(args) -> int:
@@ -58,7 +57,7 @@ def cmd_value(args) -> int:
     rec = cache.get(args.n, args.m, args.mode)
     if rec is None or not rec.exact:
         try:
-            value, exact, witness, elapsed = _compute_value(args)
+            value, witness, elapsed = _compute_value(args)
         except SearchTimeout as exc:
             print(f"timeout: best lower bound {exc.lower_bound}", file=sys.stderr)
             print(exc.lower_bound)
@@ -68,7 +67,7 @@ def cmd_value(args) -> int:
             m=args.m,
             mode=args.mode,
             value=value,
-            exact=exact,
+            exact=True,
             witness=witness,
             elapsed_ms=elapsed,
         )

@@ -12,8 +12,9 @@ table by default.  The rooted builder also takes the table of the even-modulus
 weight graph and of the Z_3^m Hamming graph.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
-upper bounds, vertices preordered by descending degree.  Adjacency rows are
-Python ints used as bit vectors, which keeps the inner loops in C.  Graphs
+upper bounds (``_color_order``, shared with ``orderly``), vertices preordered
+by descending degree.  Adjacency rows are Python ints used as bit vectors,
+which keeps the inner loops in C.  Graphs
 rooted at 0 are searched with orbit branching: unit scalings, coordinate
 permutations and sign changes fix 0 and keep integrality, so the top level
 tries one vertex per orbit of the group they generate.
@@ -31,6 +32,7 @@ from .geometry import Point
 from .modring import squares
 
 DEFAULT_MAX_VERTICES = 1 << 17
+BUDGET_POLL = 64  # search nodes between two reads of the clock against a budget
 
 
 @dataclass
@@ -179,28 +181,38 @@ def _greedy_clique(adj: list[int], v: int) -> list[int]:
     return best
 
 
+def _color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the bitset ``cand``: vertices in coloring order, their colors.
+
+    Each class takes the lowest uncolored vertex, then the next lowest ones not
+    adjacent to the class.  A clique among the first i + 1 vertices has at most
+    ``colors[i]`` of them, so both exact engines branch from the end.
+    """
+    order: list[int] = []
+    colors: list[int] = []
+    color = 0
+    while cand:
+        color += 1
+        free = cand
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append(v)
+            colors.append(color)
+            cand ^= low
+            free = (free ^ low) & ~adj[v]
+    return order, colors
+
+
 def _expand(adj: list[int], rstack: list[int], p: int, state: _SearchState, deadline: float | None) -> None:
     state.nodes += 1
-    if deadline is not None and state.nodes % 256 == 0 and time.monotonic() > deadline:
+    if deadline is not None and state.nodes % BUDGET_POLL == 0 and time.monotonic() > deadline:
         raise _BudgetExpired
-    order: list[int] = []
-    bounds: list[int] = []
-    uncolored = p
-    color = 0
-    while uncolored:
-        color += 1
-        q = uncolored
-        while q:
-            b = q & -q
-            u = b.bit_length() - 1
-            order.append(u)
-            bounds.append(color)
-            uncolored ^= b
-            q = (q ^ b) & ~adj[u]
+    order, colors = _color_order(p, adj)
     cur = p
     rlen = len(rstack)
     for i in range(len(order) - 1, -1, -1):
-        if rlen + bounds[i] <= state.best_size:
+        if rlen + colors[i] <= state.best_size:
             return
         u = order[i]
         cur ^= 1 << u

@@ -23,7 +23,8 @@ Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
 translated on the torus by ``_shift``: candidates, adjacency rows and the
 candidates on a line through two of them are intersections of translated
 masks, not scans of all n^2 points.  Each adjacent pair's bisector mask is
-computed once per triangle, into a flat table the circle filter reads.
+computed once per triangle, into a flat table the circle filter reads.  The
+search is bounded by the greedy coloring of ``cliquegraph._color_order``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 import time
 
+from .cliquegraph import BUDGET_POLL, _color_order
 from .errors import InvalidInputError, SearchTimeout
 from .geometry import (
     DeltaVec,
@@ -277,8 +279,8 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     Candidates are the points at admissible distances from the witness that
     pass the position filters with it; two are adjacent when their distance
     is admissible and they pass the filters with the witness.  The extra
-    points form a clique, bounded by greedy colorings as in
-    ``cliquegraph.max_clique``; lines through two chosen points, and in
+    points form a clique, bounded by the greedy coloring of
+    ``cliquegraph._color_order``; lines through two chosen points, and in
     general mode circles through three, drop candidates as points are
     chosen.  Seeds run in descending key order, as large leading classes
     admit the most candidates and give a large incumbent early.
@@ -377,23 +379,18 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                 adj[j] |= 1 << i
 
         lines: list[int | None] = [None] * (size * size if filtered else 0)
-        offsets: list[int | None] = [None] * size
 
         def line_mask(u: int, v: int) -> int:
             """Candidates on the cyclic line through candidates u and v, stored
-            for (u, v) and (v, u); offsets[u] holds the candidates' offsets from u."""
+            for (u, v) and (v, u)."""
             ux, uy = points[u]
             vx, vy = points[v]
-            occ = offsets[u]
-            if occ is None:
-                occ = offsets[u] = _shift(occupied, -ux % n, -uy % n, n)
-            hits = rows[((vx - ux) % n) * n + (vy - uy) % n] & occ
+            hits = _shift(rows[((vx - ux) % n) * n + (vy - uy) % n], ux, uy, n) & occupied
             mask = 0
             while hits:
                 low = hits & -hits
                 hits ^= low
-                ox, oy = divmod(low.bit_length() - 1, n)
-                mask |= 1 << index_at[((ox + ux) % n) * n + (oy + uy) % n]
+                mask |= 1 << index_at[low.bit_length() - 1]
             lines[u * size + v] = lines[v * size + u] = mask
             return mask
 
@@ -415,22 +412,10 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                 best_witness = witness + tuple(points[i] for i in chosen)
             if r + cand.bit_count() <= best:
                 return
-            if nodes & 63 == 0:
+            if nodes % BUDGET_POLL == 0:
                 check_budget()
-            # greedy coloring; vertices are branched on in reverse color order
-            order: list[tuple[int, int]] = []
-            uncolored = cand
-            color = 0
-            while uncolored:
-                color += 1
-                free = uncolored
-                while free:
-                    low = free & -free
-                    v = low.bit_length() - 1
-                    uncolored ^= low
-                    free = (free ^ low) & ~adj[v]
-                    order.append((v, color))
-            for v, color in reversed(order):
+            order, colors = _color_order(cand, adj)
+            for v, color in zip(reversed(order), reversed(colors)):
                 if r + color <= best:
                     return
                 sub = cand & adj[v]

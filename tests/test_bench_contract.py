@@ -9,7 +9,8 @@ module and walking its nested code objects.  Reachability is checked on small
 stand-ins for the workloads, each profiled in a fresh interpreter as the
 benchmark does, so no cache filled by an earlier test hides a call.  The
 same profiling pins the orderly search's node and canonicity-test counts on
-three small cells.
+three small cells, and the clique search's node and search counts on three
+small calls.
 """
 
 import importlib.util
@@ -37,19 +38,24 @@ json.dump(sorted({{
 }}), sys.stdout)
 """
 
-# Prints the call counts of the orderly search functions in one cell.
-_COUNT_CHILD = """
+# Prints the call counts of the functions of one package module during one call.
+_MODULE_COUNT_CHILD = """
 import cProfile, json, os, pstats, sys
-from ringpoints import orderly
+from ringpoints import {module}
+from ringpoints.orderly import max_cardinality_witness
+from ringpoints.reductions import I_of, verify_conjecture
 profile = cProfile.Profile()
-profile.runcall(orderly.max_cardinality_witness, {n}, {mode!r})
-here = os.path.realpath(orderly.__file__)
-counts = {{}}
+profile.runcall(lambda: {call})
+here = os.path.realpath({module}.__file__)
+counts = dict()
 for (filename, _line, fn), (_cc, calls, *_rest) in pstats.Stats(profile).stats.items():
     if os.path.realpath(filename) == here:
         counts[fn] = counts.get(fn, 0) + calls
 json.dump(counts, sys.stdout)
 """
+
+# The orderly search's call counts in one cell, still to be formatted with n and mode.
+_COUNT_CHILD = _MODULE_COUNT_CHILD.format(module="orderly", call="max_cardinality_witness({n}, {mode!r})")
 
 
 def _layers():
@@ -112,3 +118,12 @@ def test_orderly_search_shape_is_pinned():
     for n, mode, nodes, canon_tests in cells:
         counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))
         assert (counts.get("descend"), counts.get("_ordering_exceeds")) == (nodes, canon_tests), (n, mode)
+
+
+def test_clique_search_shape_is_pinned():
+    # cliquegraph.nodes and cliquegraph.searches count these calls; a change to
+    # the greedy coloring that alters the searched branches fails here first
+    cells = (("I_of(5, 4)", 1682, 1), ("I_of(7, 3)", 108, 1), ("verify_conjecture(9)", 12, 7))
+    for call, nodes, searches in cells:
+        counts = _run_child(_MODULE_COUNT_CHILD.format(module="cliquegraph", call=call))
+        assert (counts.get("_expand"), counts.get("max_clique")) == (nodes, searches), call

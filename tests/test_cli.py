@@ -127,6 +127,20 @@ def test_value_uses_cache(tmp_path, capsys):
     assert out.strip() == "99"
 
 
+def test_inexact_cache_record_is_recomputed(tmp_path, capsys):
+    # a cache file comes from outside the program: an inexact record, here a
+    # wrong one, is computed again and replaced by the exact record
+    path = str(tmp_path / "cache.json")
+    cache = ResultCache(path)
+    cache.put(ResultRecord(n=9, m=2, mode="I", value=20, exact=False))
+    cache.save()
+    code, out, _ = run(["value", "--n", "9", "--m", "2", "--cache", path], capsys)
+    assert code == 0
+    assert out.strip() == "27"
+    rec = ResultCache(path).get(9, 2, "I")
+    assert rec.exact and rec.value == 27
+
+
 def test_table2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["table", "--which", "2", "--max-n", "12"], capsys)

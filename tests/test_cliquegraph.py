@@ -13,6 +13,7 @@ from ringpoints.cliquegraph import (
     build_full,
     build_rooted,
     max_clique,
+    _color_order,
     _rooted_orbits,
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
@@ -62,11 +63,27 @@ def random_graph(rng, v, p):
     return DistanceGraph(0, 0, list(range(v)), adj)
 
 
+def induced_subgraph(g, keep):
+    pos = {old: new for new, old in enumerate(keep)}
+    adj = [sum(1 << pos[j] for j in keep if (g.adj[i] >> j) & 1) for i in keep]
+    return DistanceGraph(g.n, g.m, [g.labels[i] for i in keep], adj)
+
+
 def test_solver_against_naive_oracle():
     rng = random.Random(12345)
+    graphs = []
     for _ in range(50):
         v = rng.randint(5, 40)
-        g = random_graph(rng, v, rng.uniform(0.2, 0.8))
+        graphs.append(random_graph(rng, v, rng.uniform(0.2, 0.8)))
+    # induced subgraphs of Cayley graphs: dense, regular neighbourhoods, where
+    # a greedy-coloring bound is most likely to cut off a maximum clique
+    for n, m in ((9, 2), (25, 2), (5, 3), (3, 4)):
+        g = build_rooted(n, m)
+        for _ in range(5):
+            size = min(40, g.num_vertices, rng.randint(5, 40))
+            graphs.append(induced_subgraph(g, sorted(rng.sample(range(g.num_vertices), size))))
+    for g in graphs:
+        v = g.num_vertices
         res = max_clique(g)
         assert res.size == naive_max_clique(g.adj, v)
         # singleton orbits (the trivial group) branch on every vertex in turn
@@ -80,6 +97,29 @@ def test_solver_against_naive_oracle():
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 assert (g.adj[idx[a]] >> idx[b]) & 1
+
+
+def test_color_order_is_a_greedy_coloring():
+    rng = random.Random(777)
+    for _ in range(200):
+        v = rng.randint(1, 40)
+        adj = random_graph(rng, v, rng.uniform(0.1, 0.9)).adj
+        cand = rng.getrandbits(v)
+        order, colors = _color_order(cand, adj)
+        assert sorted(order) == [i for i in range(v) if (cand >> i) & 1]
+        assert len(colors) == len(order)
+        for k in range(1, len(order)):
+            assert colors[k - 1] <= colors[k]
+            if colors[k - 1] == colors[k]:
+                assert order[k - 1] < order[k]
+        classes = {}
+        for u, c in zip(order, colors):
+            classes.setdefault(c, []).append(u)
+        for c, members in classes.items():
+            for a in members:
+                assert not any((adj[a] >> b) & 1 for b in members)
+                # greedy: a was left out of every earlier class for a neighbour there
+                assert all(any((adj[a] >> b) & 1 for b in classes[e]) for e in range(1, c))
 
 
 def test_initial_clique_must_be_valid():
