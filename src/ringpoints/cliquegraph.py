@@ -5,19 +5,21 @@ maximum cardinality I(n, m) reduces to maximum clique.  Integrality of u, v
 depends only on u - v, so every distance graph is a Cayley graph of Z_k^m
 restricted to a vertex set: one connection table over the k^m difference
 vectors, indexed by ``point_index``, decides every pair, and a single builder
-turns (vertex list, k, table) into bit-vector adjacency.  The graph variants
-differ only in vertex set and table: the full graph on all of Z_n^m and the
-graph rooted at 0 (one point fixed by translation symmetry) use the integral
-table by default.  The rooted builder also takes the table of the even-modulus
-weight graph and of the Z_3^m Hamming graph.
+turns (vertex list, k, table) into bit-vector adjacency, each row one slice of
+the table read by one ``itemgetter`` in C.  The graph variants differ only in
+vertex set and table: the full graph on all of Z_n^m and the graph rooted at 0
+(one point fixed by translation symmetry) use the integral table by default.
+The rooted builder also takes the table of the even-modulus weight graph and
+of the Z_3^m Hamming graph.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds (``_color_order``, shared with ``orderly``), vertices preordered
-by descending degree.  Adjacency rows are Python ints used as bit vectors,
-which keeps the inner loops in C.  Graphs
-rooted at 0 are searched with orbit branching: unit scalings, coordinate
-permutations and sign changes fix 0 and keep integrality, so the top level
-tries one vertex per orbit of the group they generate.
+by descending degree; the relabelling permutes each row's '0'/'1' string with
+one ``itemgetter``.  Adjacency rows are Python ints used as bit vectors, which
+keeps the inner loops in C.  Graphs rooted at 0 are searched with orbit
+branching: unit scalings, coordinate permutations and sign changes fix 0 and
+keep integrality, so the top level tries one vertex per orbit of the group
+they generate, closed over a generating set of the units.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import Point
@@ -87,29 +90,28 @@ def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[in
     one connection table over the differences decides every pair.  Each point
     is encoded once as sum p_i * (2k - 1)^(m-1-i); the integer difference of
     two encodings then indexes a table over the digit range -(k-1)..k-1 with
-    one subtraction.  Rows are read in C as '0'/'1' strings.
+    one subtraction.  The table is stored reversed as '0'/'1' bytes, so row u
+    is one slice starting at offset - c_u, read at every code c_w by a single
+    ``itemgetter`` built once per graph: a row costs a few C calls.
     """
-    if not points:
-        return []
+    if len(points) < 2:
+        return [0] * len(points)  # no loops; itemgetter of one index returns no tuple
     m = len(points[0])
     base = 2 * k - 1
     residues = [0]
     for _ in range(m):
-        residues = [r * k + d % k for r in residues for d in range(1 - k, k)]
-    wide = bytearray(49 if table[r] else 48 for r in residues)
-    offset = 0
-    for _ in range(m):
-        offset = offset * base + k - 1
-    wide[offset] = 48  # no loops
-    look = wide.__getitem__
+        residues = [r * k + d % k for r in residues for d in range(k - 1, -k, -1)]
+    rev = bytearray(49 if table[r] else 48 for r in residues)  # rev[offset - d]: difference d
+    offset = len(rev) // 2
+    rev[offset] = 48  # no loops
     codes = []
     for p in points:
         code = 0
         for c in p:
             code = code * base + c
         codes.append(code)
-    high_first = codes[::-1]  # int(..., 2) reads the highest bit first
-    return [int(bytes(map(look, map((code + offset).__sub__, high_first))), 2) for code in codes]
+    pick = itemgetter(*codes[::-1])  # int(..., 2) reads the highest bit first
+    return [int(bytes(pick(rev[offset - code :])), 2) for code in codes]
 
 
 def build_full(n: int, m: int) -> DistanceGraph:
@@ -251,17 +253,20 @@ def max_clique(
         return CliqueResult(0, [], 0, 0.0, True)
 
     # relabel by descending degree for stronger greedy colorings: new row j
-    # reads old bit perm[j], permuted in C as a '0'/'1' string
+    # reads old bit perm[j], permuted in C by one itemgetter over the row's
+    # '0'/'1' string, whose character -1 - i is bit i
     perm = sorted(range(v), key=lambda i: (-g.adj[i].bit_count(), i))
     inv = [0] * v
     for new, old in enumerate(perm):
         inv[old] = new
-    high_first = perm[::-1]
-    adj = [
-        int(bytes(map(format(g.adj[old], f"0{v}b").encode()[::-1].__getitem__, high_first)), 2)
-        & ~(1 << new)
-        for new, old in enumerate(perm)
-    ]
+    if v == 1:  # itemgetter of one index returns no tuple; the loop is cleared
+        adj = [0]
+    else:
+        pick = itemgetter(*[-1 - old for old in reversed(perm)])
+        adj = [
+            int(bytes(pick(format(g.adj[old], f"0{v}b").encode())), 2) & ~(1 << new)
+            for new, old in enumerate(perm)
+        ]
 
     seed: list[int] = []
     if initial:
@@ -309,10 +314,19 @@ def _rooted_orbits(points: list[Point], n: int) -> list[list[int]]:
     coordinate permutations and sign changes keep it (and Hamming weight and
     the even weight graph's condition), so the group they generate acts on
     every graph rooted at 0 here.  Orbits are closed under one sign change, a
-    cyclic shift, a transposition and the unit scalings, which generate it.
+    cyclic shift, a transposition and a generating set of the unit group, which
+    together generate it: a unit joins the set only when the units taken so far
+    do not generate it.
     """
     gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
-    gens += [lambda p, u=u: tuple(u * c % n for c in p) for u in range(2, n) if gcd(u, n) == 1]
+    group = {1}
+    for u in range(2, n):
+        if gcd(u, n) == 1 and u not in group:
+            gens.append(lambda p, u=u: tuple(u * c % n for c in p))
+            coset = {h * u % n for h in group}
+            while not coset <= group:  # add the cosets H u^k until u^k lies in H
+                group |= coset
+                coset = {h * u % n for h in coset}
     index = {p: i for i, p in enumerate(points)}
     seen = [False] * len(points)
     orbits = []

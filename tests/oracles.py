@@ -3,8 +3,11 @@
 The library computes every exact I(n, m) through one rooted, orbit-branched
 search.  Two other graph formulations give the same clique number and serve
 here as cross-checks: the full distance graph on all of Z_n^m, and the family
-of graphs with a fixed anchor edge class (two points fixed).
+of graphs with a fixed anchor edge class (two points fixed).  The orbits that
+search branches on are checked against orbits closed under every unit scaling.
 """
+
+from math import gcd
 
 from ringpoints.cliquegraph import (
     DistanceGraph,
@@ -74,3 +77,30 @@ def delta_value(n, m):
     if not family:
         return _solve_rooted(n, m, None)
     return max(2 + max_clique(g).size for _, _, g in family)
+
+
+def all_units_orbits(points, n):
+    """Orbits of the rooted group on ``points``, closed under every unit scaling.
+
+    The generators are one sign change, a cyclic shift, a transposition and one
+    scaling per unit u in 2..n-1; each orbit is listed breadth first from its
+    lowest index, and the orbits in the order of their lowest indices.
+    """
+    gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
+    gens += [lambda p, u=u: tuple(u * c % n for c in p) for u in range(2, n) if gcd(u, n) == 1]
+    index = {p: i for i, p in enumerate(points)}
+    seen = [False] * len(points)
+    orbits = []
+    for i in range(len(points)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            for gen in gens:
+                k = index[gen(points[j])]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        orbits.append(orbit)
+    return orbits

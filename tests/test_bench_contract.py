@@ -10,7 +10,7 @@ stand-ins for the workloads, each profiled in a fresh interpreter as the
 benchmark does, so no cache filled by an earlier test hides a call.  The
 same profiling pins the orderly search's node and canonicity-test counts on
 three small cells, and the clique search's node and search counts on three
-small calls.
+small calls and on the conjecture sweep.
 """
 
 import importlib.util
@@ -127,3 +127,10 @@ def test_clique_search_shape_is_pinned():
     for call, nodes, searches in cells:
         counts = _run_child(_MODULE_COUNT_CHILD.format(module="cliquegraph", call=call))
         assert (counts.get("_expand"), counts.get("max_clique")) == (nodes, searches), call
+
+
+def test_sweep_search_shape_is_pinned():
+    # the conjecture-sweep workload: cliquegraph.nodes and cliquegraph.searches
+    # read these counts, which graph set-up must leave exactly as they are
+    counts = _run_child(_MODULE_COUNT_CHILD.format(module="cliquegraph", call="verify_conjecture(47)"))
+    assert (counts.get("_expand"), counts.get("max_clique")) == (2228, 60)

@@ -6,18 +6,21 @@ from math import gcd
 
 import pytest
 
-from oracles import build_delta_family, delta_classes, delta_value
+from oracles import all_units_orbits, build_delta_family, delta_classes, delta_value
 import ringpoints
 from ringpoints.cliquegraph import (
     DistanceGraph,
     build_full,
     build_rooted,
     max_clique,
+    _all_points,
+    _cayley_adjacency,
     _color_order,
+    _integral_diff_table,
     _rooted_orbits,
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
-from ringpoints.geometry import delta, is_integral
+from ringpoints.geometry import delta, is_integral, point_index
 from ringpoints.reductions import I_of, _solve_rooted, even_reduction_graph
 
 
@@ -120,6 +123,82 @@ def test_color_order_is_a_greedy_coloring():
                 assert not any((adj[a] >> b) & 1 for b in members)
                 # greedy: a was left out of every earlier class for a neighbour there
                 assert all(any((adj[a] >> b) & 1 for b in classes[e]) for e in range(1, c))
+
+
+def test_tiny_graphs():
+    # one and two vertices: the relabelling and the builder read a single
+    # index there, where itemgetter returns an item instead of a tuple
+    for row in (0, 1):  # without and with a self-loop
+        g = DistanceGraph(0, 0, ["a"], [row])
+        for orbits in (None, [[0]]):
+            res = max_clique(g, orbits=orbits)
+            assert (res.size, res.witness, res.exact) == (1, ["a"], True)
+        assert max_clique(g, initial=["a"]).size == 1
+    for edge in (0, 1):
+        g = DistanceGraph(0, 0, ["a", "b"], [edge << 1, edge])
+        for orbits in (None, [[0], [1]], [[0, 1]]):
+            res = max_clique(g, orbits=orbits)
+            assert res.size == 1 + edge
+            assert len(res.witness) == len(set(res.witness)) == res.size
+            assert set(res.witness) <= {"a", "b"}
+
+
+def test_one_vertex_rooted_graphs():
+    # a rooted graph over Z_k^m holds every axis point c * e_i, c != 0 (its
+    # squared norm c^2 is a square), so only m = 1, k = 2 leaves one vertex:
+    # n = 2, and n = 4 for the even weight graph over Z_2; scanned up to n^m = 1024
+    found = []
+    for n in range(1, 33):
+        for m in range(1, 6):
+            if n**m > 1024:
+                continue
+            graphs = [("rooted", build_rooted(n, m))]
+            if n % 2 == 0:
+                graphs.append(("even", even_reduction_graph(n, m)))
+            for kind, g in graphs:
+                if g.num_vertices != 1:
+                    continue
+                found.append((kind, n, m))
+                assert g.adj == [0]
+                res = max_clique(g, orbits=_rooted_orbits(g.labels, g.n))
+                assert (res.size, res.witness) == (1, g.labels)
+    assert found == [("rooted", 2, 1), ("even", 4, 1)]
+    assert I_of(2, 1) == 2 and I_of(4, 1) == 4
+
+
+def pairwise_adjacency(points, k, table):
+    """Row i's bit j is table[point_index(points[i] - points[j])], pair by pair, no loops."""
+    return [
+        sum(
+            1 << j
+            for j, w in enumerate(points)
+            if j != i and table[point_index(tuple(a - b for a, b in zip(u, w)), k)]
+        )
+        for i, u in enumerate(points)
+    ]
+
+
+def test_cayley_adjacency_matches_pairwise_oracle():
+    rng = random.Random(4096)
+    for k in range(2, 8):
+        for m in range(1, 4):
+            points = _all_points(k, m)
+            negated = [point_index(tuple(-c for c in d), k) for d in points]
+            loose = [rng.random() < 0.5 for _ in points]  # asymmetric in general
+            tables = [
+                _integral_diff_table(k, m),
+                [loose[min(i, negated[i])] for i in range(len(points))],  # symmetric
+                loose,
+                [True] * len(points),
+                [False] * len(points),
+            ]
+            cap = min(len(points), 40)
+            vertex_lists = [[], rng.sample(points, 1), rng.sample(points, 2)]
+            vertex_lists += [rng.sample(points, rng.randint(0, cap)) for _ in range(3)]
+            vertex_lists.append(sorted(rng.sample(points, cap)))
+            for table in tables:
+                for verts in vertex_lists:
+                    assert _cayley_adjacency(verts, k, table) == pairwise_adjacency(verts, k, table), (k, m, verts)
 
 
 def test_initial_clique_must_be_valid():
@@ -269,6 +348,27 @@ def test_rooted_orbits_are_automorphism_orbits():
             # sign changes and coordinate permutations keep the orbit too
             assert index[tuple(reversed(first))] in members
             assert index[((n - first[0]) % n,) + first[1:]] in members
+
+
+def _unit_group_is_cyclic(n):
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    return any(len({pow(u, k, n) for k in range(len(units))}) == len(units) for u in units)
+
+
+def test_rooted_orbits_match_all_units_oracle():
+    # a generating set of the unit group gives the orbits of all the unit
+    # scalings, found in the same order from the same first members
+    assert [n for n in (8, 16, 24, 32, 40) if _unit_group_is_cyclic(n)] == []
+    cells = [(n, 2) for n in range(2, 49)] + [(n, 3) for n in range(2, 12)]
+    for n, m in cells:
+        zero = (0,) * m
+        vertex_sets = [build_rooted(n, m).labels]
+        if m == 2:
+            vertex_sets.append([p for p in _all_points(n, m) if p != zero])
+        for points in vertex_sets:
+            got, want = _rooted_orbits(points, n), all_units_orbits(points, n)
+            assert [orbit[0] for orbit in got] == [orbit[0] for orbit in want], (n, m)
+            assert [sorted(orbit) for orbit in got] == [sorted(orbit) for orbit in want], (n, m)
 
 
 def test_orbit_branching_matches_plain_search():
