@@ -15,11 +15,13 @@ of the Z_3^m Hamming graph.
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds (``_color_order``, shared with ``orderly``), vertices preordered
 by descending degree; the relabelling permutes each row's '0'/'1' string with
-one ``itemgetter``.  Adjacency rows are Python ints used as bit vectors, which
-keeps the inner loops in C.  Graphs rooted at 0 are searched with orbit
-branching: unit scalings, coordinate permutations and sign changes fix 0 and
-keep integrality, so the top level tries one vertex per orbit of the group
-they generate, closed over a generating set of the units.
+one ``itemgetter``, or only clears the loops when that order is the identity.
+Adjacency rows are Python ints used as bit vectors, which keeps the inner loops
+in C.  Graphs rooted at 0 are searched with orbit branching: unit scalings,
+coordinate permutations, sign changes and the rotations (x, y) -> (ax - by,
+bx + ay) with a^2 + b^2 = 1 modulo the quadratic form's modulus fix 0 and keep
+the graph, so the top level tries one vertex per orbit of the group they
+generate, closed over generating sets of the units and of the rotations.
 """
 
 from __future__ import annotations
@@ -254,19 +256,20 @@ def max_clique(
 
     # relabel by descending degree for stronger greedy colorings: new row j
     # reads old bit perm[j], permuted in C by one itemgetter over the row's
-    # '0'/'1' string, whose character -1 - i is bit i
+    # '0'/'1' string, whose character -1 - i is bit i; an identity order only
+    # clears the loops.  Plain loops keep the relabel in max_clique's own time.
     perm = sorted(range(v), key=lambda i: (-g.adj[i].bit_count(), i))
     inv = [0] * v
     for new, old in enumerate(perm):
         inv[old] = new
-    if v == 1:  # itemgetter of one index returns no tuple; the loop is cleared
-        adj = [0]
-    else:
-        pick = itemgetter(*[-1 - old for old in reversed(perm)])
-        adj = [
-            int(bytes(pick(format(g.adj[old], f"0{v}b").encode())), 2) & ~(1 << new)
-            for new, old in enumerate(perm)
-        ]
+    adj = []
+    if perm == list(range(v)):  # also every one-vertex graph
+        for new, row in enumerate(g.adj):
+            adj.append(row & ~(1 << new))
+    else:  # at least two vertices, so itemgetter returns a tuple
+        pick = itemgetter(*map((-1).__sub__, reversed(perm)))
+        for new, old in enumerate(perm):
+            adj.append(int(bytes(pick(format(g.adj[old], f"0{v}b").encode())), 2) & ~(1 << new))
 
     seed: list[int] = []
     if initial:
@@ -307,26 +310,46 @@ def max_clique(
     return CliqueResult(state.best_size, witness, state.nodes, time.monotonic() - start, exact)
 
 
-def _rooted_orbits(points: list[Point], n: int) -> list[list[int]]:
-    """Orbits of the maps fixing 0 that keep integrality, as index lists.
+def _grow(group: set, g, mul) -> bool:
+    """Grow the abelian group ``group`` by g in place; False if g already lies in it."""
+    if g in group:
+        return False
+    coset = {mul(h, g) for h in group}
+    while not coset <= group:  # add the cosets H g^k until g^k lies in H
+        group |= coset
+        coset = {mul(h, g) for h in coset}
+    return True
 
-    Unit scalings multiply every squared distance by a unit square, and
-    coordinate permutations and sign changes keep it (and Hamming weight and
-    the even weight graph's condition), so the group they generate acts on
-    every graph rooted at 0 here.  Orbits are closed under one sign change, a
-    cyclic shift, a transposition and a generating set of the unit group, which
-    together generate it: a unit joins the set only when the units taken so far
-    do not generate it.
+
+def _rooted_orbits(points: list[Point], n: int, form_modulus: int) -> list[list[int]]:
+    """Orbits of the maps of Z_n^m fixing 0 that keep the graph, as index lists.
+
+    ``form_modulus`` is the modulus q of the quadratic form x_1^2 + ... + x_m^2
+    that decides adjacency: n for integrality, 3 for the Hamming graph of Z_3^m
+    and 2n for the even weight graph over Z_n.  Unit scalings multiply the form
+    by a unit square, coordinate permutations and sign changes keep it, and so
+    does a rotation (x, y) -> (ax - by, bx + ay) of the first two coordinates
+    with a^2 + b^2 = 1 mod q, since (ax - by)^2 + (bx + ay)^2 = (a^2 + b^2)(x^2
+    + y^2); the group they generate acts on every graph rooted at 0 here.  A
+    rotation with a^2 + b^2 = 1 only mod n is no automorphism of the even
+    weight graph, so q has no default.  Orbits are closed under one sign
+    change, a cyclic shift, a transposition and generating sets of the unit
+    group and of the rotations, which together generate it: a unit or rotation
+    joins the set only when those of its kind taken so far do not generate it.
     """
     gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
-    group = {1}
+    units, times = {1}, lambda h, u: h * u % n
     for u in range(2, n):
-        if gcd(u, n) == 1 and u not in group:
+        if gcd(u, n) == 1 and _grow(units, u, times):
             gens.append(lambda p, u=u: tuple(u * c % n for c in p))
-            coset = {h * u % n for h in group}
-            while not coset <= group:  # add the cosets H u^k until u^k lies in H
-                group |= coset
-                coset = {h * u % n for h in coset}
+    if points and len(points[0]) > 1:
+        q = form_modulus
+        turns = {(1, 0)}  # rotations (a, b) mod q, composed as (a + bi)(c + di)
+        compose = lambda h, g: ((h[0] * g[0] - h[1] * g[1]) % q, (h[0] * g[1] + h[1] * g[0]) % q)
+        for a in range(q):
+            for b in range(q):
+                if (a * a + b * b) % q == 1 and _grow(turns, (a, b), compose):
+                    gens.append(lambda p, a=a, b=b: ((a * p[0] - b * p[1]) % n, (b * p[0] + a * p[1]) % n) + p[2:])
     index = {p: i for i, p in enumerate(points)}
     seen = [False] * len(points)
     orbits = []

@@ -28,7 +28,7 @@ from .cliquegraph import (
     max_clique,
 )
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
-from .geometry import Point, is_integral
+from .geometry import Point
 from .modring import factorize, is_prime, omega, squares
 
 
@@ -87,10 +87,15 @@ def lemma2_points(n: int) -> tuple[list[Point], int]:
 
 
 def _verify_integral(pts: list[Point], n: int) -> None:
-    for i, u in enumerate(pts):
-        for v in pts[i + 1 :]:
-            if not is_integral(u, v, n):
-                raise AssertionError(f"constructed set not integral at {u}, {v} mod {n}")
+    """Raise unless every pair of these points of Z_n^2 is at integral distance.
+
+    The test of ``is_integral``, written out for two coordinates.
+    """
+    sq = squares(n).squares
+    for i, (x, y) in enumerate(pts):
+        for a, b in pts[i + 1 :]:
+            if ((x - a) * (x - a) + (y - b) * (y - b)) % n not in sq:
+                raise AssertionError(f"constructed set not integral at {(x, y)}, {(a, b)} mod {n}")
 
 
 def conjectured_I2(n: int) -> int:
@@ -153,10 +158,12 @@ def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
     # and since Z_2n = Z_2 x Z_n with every residue mod 2 a square, squareness
     # mod 2n equals squareness mod n.
     # The orbit group of the rooted search acts on this graph too: unit
-    # scalings mod n, sign changes and coordinate permutations are linear, and
-    # wrapping a coordinate adds n^2 to the weight.  For even n, n^2 = 0
-    # (mod 2n) and a unit u is odd, so u^2 is a unit square mod 2n; for odd n,
-    # squareness mod 2n is squareness mod n.
+    # scalings mod n, sign changes, coordinate permutations and rotations are
+    # linear, and wrapping a coordinate adds n^2 to the weight.  For even n,
+    # n^2 = 0 (mod 2n) and a unit u is odd, so u^2 is a unit square mod 2n; for
+    # odd n, squareness mod 2n is squareness mod n.  A rotation (x, y) ->
+    # (ax - by, bx + ay) multiplies the weight of the lifts by a^2 + b^2, so it
+    # needs a^2 + b^2 = 1 (mod 2n), not only mod n: the form modulus is 2n.
     sq = squares(two_n).squares
     zero = (0,) * m
     return build_rooted(n, m, [even_weight(d, zero, two_n) in sq for d in _all_points(n, m)])
@@ -164,7 +171,7 @@ def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
 
 def even_reduction_value(two_n: int, m: int, budget: float | None = None) -> int:
     g = even_reduction_graph(two_n, m)
-    return _rooted_value(g, _rooted_seed(two_n, g.n, m), budget, scale=2**m)
+    return _rooted_value(g, _rooted_seed(two_n, g.n, m), budget, two_n, scale=2**m)
 
 
 def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
@@ -179,13 +186,18 @@ def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
     return [(u,) + (0,) * (m - 1) for u in range(1, k)]
 
 
-def _rooted_value(g: DistanceGraph, seed: list[Point], budget: float | None, scale: int = 1) -> int:
+def _rooted_value(
+    g: DistanceGraph, seed: list[Point], budget: float | None, form_modulus: int, scale: int = 1
+) -> int:
     """scale * (1 + maximum clique) of a graph rooted at 0, branching per orbit.
 
-    On budget expiry raises SearchTimeout carrying the same expression for the
-    incumbent clique, a proven lower bound.
+    ``form_modulus`` is the modulus of the quadratic form behind the graph's
+    adjacency, as ``_rooted_orbits`` takes it.  On budget expiry raises
+    SearchTimeout carrying the same expression for the incumbent clique, a
+    proven lower bound.
     """
-    res = max_clique(g, budget=budget, initial=seed, orbits=_rooted_orbits(g.labels, g.n))
+    orbits = _rooted_orbits(g.labels, g.n, form_modulus)
+    res = max_clique(g, budget=budget, initial=seed, orbits=orbits)
     value = scale * (1 + res.size)
     if not res.exact:
         raise SearchTimeout(f"rooted search over Z_{g.n}^{g.m} hit budget", value)
@@ -202,7 +214,7 @@ def hamming_I3_value(m: int, budget: float | None = None) -> int:
     The top level branches once per Hamming weight: coordinate permutations
     and sign changes fix 0 and move any point onto any other of its weight.
     """
-    return _rooted_value(build_rooted(3, m, _hamming_table(m)), _rooted_seed(3, 3, m), budget)
+    return _rooted_value(build_rooted(3, m, _hamming_table(m)), _rooted_seed(3, 3, m), budget, 3)
 
 
 def _hamming_table(m: int) -> list[bool]:
@@ -244,7 +256,7 @@ def semi_general_upper(n: int) -> int:
 
 
 def _solve_rooted(n: int, m: int, budget: float | None) -> int:
-    return _rooted_value(build_rooted(n, m), _rooted_seed(n, n, m), budget)
+    return _rooted_value(build_rooted(n, m), _rooted_seed(n, n, m), budget, n)
 
 
 def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None) -> int:

@@ -4,7 +4,8 @@ The library computes every exact I(n, m) through one rooted, orbit-branched
 search.  Two other graph formulations give the same clique number and serve
 here as cross-checks: the full distance graph on all of Z_n^m, and the family
 of graphs with a fixed anchor edge class (two points fixed).  The orbits that
-search branches on are checked against orbits closed under every unit scaling.
+search branches on are checked against orbits closed under every unit scaling
+and every rotation of the first two coordinates.
 """
 
 from math import gcd
@@ -79,15 +80,26 @@ def delta_value(n, m):
     return max(2 + max_clique(g).size for _, _, g in family)
 
 
-def all_units_orbits(points, n):
-    """Orbits of the rooted group on ``points``, closed under every unit scaling.
+def all_units_orbits(points, n, form_modulus):
+    """Orbits of the rooted group on ``points``, closed under every group element.
 
-    The generators are one sign change, a cyclic shift, a transposition and one
-    scaling per unit u in 2..n-1; each orbit is listed breadth first from its
-    lowest index, and the orbits in the order of their lowest indices.
+    The generators are one sign change, a cyclic shift, a transposition, one
+    scaling per unit u in 2..n-1 and, for m >= 2, one rotation (x, y) ->
+    (ax - by, bx + ay) of the first two coordinates per pair (a, b) mod
+    ``form_modulus`` with a^2 + b^2 = 1 there; each orbit is listed breadth
+    first from its lowest index, and the orbits in the order of their lowest
+    indices.
     """
+    q = form_modulus
     gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
     gens += [lambda p, u=u: tuple(u * c % n for c in p) for u in range(2, n) if gcd(u, n) == 1]
+    if points and len(points[0]) > 1:
+        gens += [
+            lambda p, a=a, b=b: ((a * p[0] - b * p[1]) % n, (b * p[0] + a * p[1]) % n) + p[2:]
+            for a in range(q)
+            for b in range(q)
+            if (a * a + b * b) % q == 1
+        ]
     index = {p: i for i, p in enumerate(points)}
     seen = [False] * len(points)
     orbits = []

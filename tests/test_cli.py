@@ -53,8 +53,9 @@ def test_value_invalid_input(tmp_path, capsys):
 
 
 def test_value_timeout_exit_code(tmp_path, capsys):
+    # the search for I(3, 6) takes seconds, far past the budget
     code, out, err = run(
-        ["value", "--n", "47", "--m", "2", "--budget", "0.05", "--cache", str(tmp_path / "c.json")],
+        ["value", "--n", "3", "--m", "6", "--budget", "0.05", "--cache", str(tmp_path / "c.json")],
         capsys,
     )
     assert code == 2

@@ -21,7 +21,7 @@ from ringpoints.cliquegraph import (
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral, point_index
-from ringpoints.reductions import I_of, _solve_rooted, even_reduction_graph
+from ringpoints.reductions import I_of, _hamming_table, _solve_rooted, even_reduction_graph
 
 
 def complete_graph(v):
@@ -155,12 +155,12 @@ def test_one_vertex_rooted_graphs():
             graphs = [("rooted", build_rooted(n, m))]
             if n % 2 == 0:
                 graphs.append(("even", even_reduction_graph(n, m)))
-            for kind, g in graphs:
+            for kind, g in graphs:  # the form modulus is n for both
                 if g.num_vertices != 1:
                     continue
                 found.append((kind, n, m))
                 assert g.adj == [0]
-                res = max_clique(g, orbits=_rooted_orbits(g.labels, g.n))
+                res = max_clique(g, orbits=_rooted_orbits(g.labels, g.n, n))
                 assert (res.size, res.witness) == (1, g.labels)
     assert found == [("rooted", 2, 1), ("even", 4, 1)]
     assert I_of(2, 1) == 2 and I_of(4, 1) == 4
@@ -306,8 +306,9 @@ def test_I_of_rejects_bad_input():
 
 
 def test_I_of_timeout_carries_bound():
+    # the search for I(3, 6) takes seconds, far past the budget
     with pytest.raises(SearchTimeout) as exc_info:
-        I_of(47, 2, budget=0.05)
+        I_of(3, 6, budget=0.05)
     assert exc_info.value.lower_bound >= 1
 
 
@@ -324,30 +325,56 @@ def test_even_divisibility():
         assert I_of(n, m) % (2**m) == 0
 
 
+def _is_automorphism(g, image):
+    """True iff the vertex map ``image`` (a list of indices) keeps every adjacency row."""
+    return all(
+        g.adj[image[i]] == sum(1 << image[j] for j in range(g.num_vertices) if (g.adj[i] >> j) & 1)
+        for i in range(g.num_vertices)
+    )
+
+
+def _rotation_image(g, a, b):
+    index = {p: i for i, p in enumerate(g.labels)}
+    n = g.n
+    return [index[((a * p[0] - b * p[1]) % n, (b * p[0] + a * p[1]) % n) + p[2:]] for p in g.labels]
+
+
 def test_rooted_orbits_are_automorphism_orbits():
-    # integral graphs, then even weight graphs over the half ring Z_{g.n}
-    graphs = [build_rooted(n, m) for n, m in ((5, 2), (9, 2), (12, 2), (4, 3), (3, 4))]
-    graphs += [even_reduction_graph(two_n, m) for two_n, m in ((8, 2), (12, 2), (6, 3), (16, 3))]
-    for g in graphs:
+    # (graph, modulus of its quadratic form): integral graphs, even weight
+    # graphs over the half ring Z_{g.n}, and Hamming graphs of Z_3^m
+    graphs = [(build_rooted(n, m), n) for n, m in ((5, 2), (9, 2), (12, 2), (13, 2), (4, 3), (3, 4))]
+    graphs += [(even_reduction_graph(two_n, m), two_n) for two_n, m in ((8, 2), (12, 2), (24, 2), (6, 3), (16, 3))]
+    graphs += [(build_rooted(3, m, _hamming_table(m)), 3) for m in (3, 4)]
+    for g, q in graphs:
         n = g.n
-        orbits = _rooted_orbits(g.labels, n)
+        orbits = _rooted_orbits(g.labels, n, q)
         assert sorted(i for orbit in orbits for i in orbit) == list(range(g.num_vertices))
         index = {p: i for i, p in enumerate(g.labels)}
+        # every unit scaling and every rotation of the first two coordinates
+        # with a^2 + b^2 = 1 mod q is an automorphism and keeps each orbit
+        images = [[index[tuple(u * c % n for c in p)] for p in g.labels] for u in range(1, n) if gcd(u, n) == 1]
+        images += [_rotation_image(g, a, b) for a in range(q) for b in range(q) if (a * a + b * b) % q == 1]
+        assert len(images) > 1
+        for image in images:
+            assert _is_automorphism(g, image), (n, q)
+            for orbit in orbits:
+                assert image[orbit[0]] in set(orbit)
         for orbit in orbits:
             members = set(orbit)
             first = g.labels[orbit[0]]
-            for u in range(1, n):
-                if gcd(u, n) != 1:
-                    continue
-                image = [index[tuple(u * c % n for c in p)] for p in g.labels]
-                # the scaling is an automorphism and keeps the orbit
-                for i in range(g.num_vertices):
-                    for j in range(i + 1, g.num_vertices):
-                        assert (g.adj[i] >> j) & 1 == (g.adj[image[i]] >> image[j]) & 1
-                assert image[orbit[0]] in members
             # sign changes and coordinate permutations keep the orbit too
             assert index[tuple(reversed(first))] in members
             assert index[((n - first[0]) % n,) + first[1:]] in members
+
+
+def test_rotation_mod_half_ring_breaks_even_graph():
+    # over Z_4 the rotation (1, 2) has a^2 + b^2 = 5 = 1 mod 4 but not mod 8,
+    # and it moves a vertex of the even weight graph of Z_8^2, a neighbour of
+    # 0, off the neighbours of 0: no automorphism, so the form modulus is 8
+    g = even_reduction_graph(8, 2)
+    moved = {((x - 2 * y) % 4, (2 * x + y) % 4) for x, y in g.labels}
+    assert not moved <= set(g.labels)
+    assert all((a * a + b * b) % 8 != 1 for a in (1, 5) for b in (2, 6))
 
 
 def _unit_group_is_cyclic(n):
@@ -356,25 +383,27 @@ def _unit_group_is_cyclic(n):
 
 
 def test_rooted_orbits_match_all_units_oracle():
-    # a generating set of the unit group gives the orbits of all the unit
-    # scalings, found in the same order from the same first members
+    # generating sets of the unit group and of the rotations give the orbits
+    # of every unit scaling and every rotation, found in the same order from
+    # the same first members; the even weight graphs take their rotations mod 2n
     assert [n for n in (8, 16, 24, 32, 40) if _unit_group_is_cyclic(n)] == []
     cells = [(n, 2) for n in range(2, 49)] + [(n, 3) for n in range(2, 12)]
     for n, m in cells:
         zero = (0,) * m
-        vertex_sets = [build_rooted(n, m).labels]
+        vertex_sets = [(build_rooted(n, m).labels, n)]
         if m == 2:
-            vertex_sets.append([p for p in _all_points(n, m) if p != zero])
-        for points in vertex_sets:
-            got, want = _rooted_orbits(points, n), all_units_orbits(points, n)
-            assert [orbit[0] for orbit in got] == [orbit[0] for orbit in want], (n, m)
-            assert [sorted(orbit) for orbit in got] == [sorted(orbit) for orbit in want], (n, m)
+            vertex_sets.append(([p for p in _all_points(n, m) if p != zero], n))
+            vertex_sets.append((even_reduction_graph(2 * n, m).labels, 2 * n))
+        for points, q in vertex_sets:
+            got, want = _rooted_orbits(points, n, q), all_units_orbits(points, n, q)
+            assert [orbit[0] for orbit in got] == [orbit[0] for orbit in want], (n, m, q)
+            assert [sorted(orbit) for orbit in got] == [sorted(orbit) for orbit in want], (n, m, q)
 
 
 def test_orbit_branching_matches_plain_search():
     for n, m in ((5, 2), (7, 2), (9, 2), (13, 2), (15, 2), (3, 3), (5, 3), (7, 3), (3, 4)):
         g = build_rooted(n, m)
-        res = max_clique(g, orbits=_rooted_orbits(g.labels, n))
+        res = max_clique(g, orbits=_rooted_orbits(g.labels, n, n))
         assert res.exact
         assert res.size == max_clique(g).size, (n, m)
         pts = list(res.witness) + [(0,) * m]

@@ -188,7 +188,7 @@ def test_hamming_weight_orbits():
         g = hamming_graph(m)
         keep = [i for i, p in enumerate(g.labels) if any(p) and (g.adj[0] >> i) & 1]
         points = [g.labels[i] for i in keep]
-        orbits = _rooted_orbits(points, 3)
+        orbits = _rooted_orbits(points, 3, 3)
         weights = [{hamming_distance(points[i], zero) for i in orbit} for orbit in orbits]
         assert all(len(w) == 1 for w in weights)
         assert len(weights) == len({min(w) for w in weights})
