@@ -166,7 +166,7 @@ def _greedy_clique(adj: list[int], v: int) -> list[int]:
     best: list[int] = []
     for s in starts:
         clique = [s]
-        cand = adj[s]
+        cand = adj[s] & ~(1 << s)
         while cand:
             # highest-degree candidate
             bestv, bestd = -1, -1
@@ -179,7 +179,7 @@ def _greedy_clique(adj: list[int], v: int) -> list[int]:
                 if d > bestd:
                     bestv, bestd = u, d
             clique.append(bestv)
-            cand &= adj[bestv]
+            cand &= adj[bestv] & ~(1 << bestv)  # a self-loop must not keep bestv
         if len(clique) > len(best):
             best = clique
     return best

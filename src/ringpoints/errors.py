@@ -27,9 +27,11 @@ class SearchTimeout(RingpointsError):
     """An exact search ran out of budget.
 
     Carries the best lower bound proven before the budget expired, so callers
-    can still report a partial result.
+    can still report a partial result, and the points realizing it where the
+    search keeps them (empty otherwise).
     """
 
-    def __init__(self, message: str, lower_bound: int):
+    def __init__(self, message: str, lower_bound: int, witness: tuple = ()):
         super().__init__(message)
         self.lower_bound = lower_bound
+        self.witness = witness

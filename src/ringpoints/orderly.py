@@ -22,21 +22,26 @@ by the bisector masks of ``geometry``.
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
 translated on the torus by ``_shift``: candidates, adjacency rows and the
 candidates on a line through two of them are intersections of translated
-masks, not scans of all n^2 points.  Each adjacent pair's bisector mask is
-computed once per triangle, into a flat table the circle filter reads.  The
-search is bounded by the greedy coloring of ``cliquegraph._color_order``.
+masks, read at the candidates by one C gather, not scans of all n^2 points.
+Each candidate keeps its circle state in its own frame, translated by minus
+the candidate, so every bisector mask it needs is one entry of a table built
+once per modulus (``_circle_tables``).  The search is bounded by the greedy
+coloring of ``cliquegraph._color_order``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 import time
 
 from .cliquegraph import BUDGET_POLL, _color_order
 from .errors import InvalidInputError, SearchTimeout
 from .geometry import (
     DeltaVec,
+    LineTable,
     Point,
     _bisector_mask,
     is_collinear,
@@ -262,6 +267,136 @@ def _shift(mask: int, x: int, y: int, n: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bisector masks of 0 and each difference, and their inverse.
+
+    ``origin_bis[d]`` is the bisector mask of 0 and d (d and the bits both
+    row-major, x*n + y); ``through_origin[z]`` is the mask of the differences
+    d whose ``origin_bis[d]`` holds z, i.e. the circle about z through 0.  A
+    centre p + z' sees p and q at one value iff 2 z'.(q - p) = |q - p|^2
+    (mod n), so every bisector mask is a translate of one of these:
+    bisector(p, q) == ``_shift(origin_bis[q - p], *p)``, for every n.
+    """
+    n2 = n * n
+    origin_bis = tuple(_point_bisector((0, 0), divmod(d, n), n) for d in range(n2))
+    through_origin = [0] * n2
+    for d, mask in enumerate(origin_bis):
+        bit = 1 << d
+        while mask:
+            low = mask & -mask
+            through_origin[low.bit_length() - 1] |= bit
+            mask ^= low
+    return origin_bis, tuple(through_origin)
+
+
+@lru_cache(maxsize=None)
+def _canonical_seeds(n: int, lines: LineTable | None) -> tuple[PointSetRecord, ...]:
+    """The canonical ``seed_L3`` records, computed once per modulus and line filter.
+
+    ``seed_L3`` gives the same records in semi-general and general mode.
+    ``lines`` is the line table the collinearity filter reads (None for no
+    filter), so another line definition gets seeds of its own.
+    """
+    mode = "any" if lines is None else "semi-general"
+    return tuple(rec for rec in seed_L3(n, mode) if rec.canonical)
+
+
+def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
+    """``gather(mask)``: bit i is the bit of the mask over Z_n^2 at ``points[i]``.
+
+    ``format`` writes the highest bit first and ``int(..., 2)`` reads it
+    first, so one ``itemgetter`` over the bit string picks the candidates from
+    last to first, in C.  With one candidate it picks a one-character string
+    instead of a tuple, which ``join`` reads the same.
+    """
+    n2 = n * n
+    width = f"0{n2}b"
+    pick = itemgetter(*[n2 - 1 - x * n - y for x, y in reversed(points)])
+    return lambda mask: int("".join(pick(format(mask, width))), 2)
+
+
+def seed_candidates(
+    witness: tuple[Point, ...], allowed: int, rows: tuple[int, ...], n: int, mode: str
+) -> tuple[list[Point], list[int], list[int]]:
+    """Candidate points around a triangle, in row-major order, with their circle state.
+
+    A candidate is at an admissible difference (``allowed``) from each
+    witness point and, in the filtered modes, on no cyclic line through two
+    of them (``rows`` is ``line_table(n).pair_rows``).  In general mode
+    ``spans[i]`` is the union of the bisector masks of candidate i with the
+    witness points and ``pairs[i]`` the union of their pairwise overlaps,
+    both held in the candidate's own frame (translated by minus the
+    candidate); a candidate whose three masks share a centre is concyclic
+    with the witness and dropped.
+    """
+    cand = allowed
+    for wx, wy in witness:
+        cand &= _shift(allowed, wx, wy, n)
+    if mode != "any":
+        for a, (ax, ay) in enumerate(witness):
+            for bx, by in witness[a + 1 :]:
+                cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
+    points: list[Point] = []
+    spans: list[int] = []
+    pairs: list[int] = []
+    origin_bis = _circle_tables(n)[0] if mode == "general" else ()
+    (w1x, w1y), (w2x, w2y), (w3x, w3y) = witness
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        px, py = p = divmod(low.bit_length() - 1, n)
+        if origin_bis:
+            b1 = origin_bis[((w1x - px) % n) * n + (w1y - py) % n]
+            b2 = origin_bis[((w2x - px) % n) * n + (w2y - py) % n]
+            b3 = origin_bis[((w3x - px) % n) * n + (w3y - py) % n]
+            if b1 & b2 & b3:
+                continue
+            spans.append(b1 | b2 | b3)
+            pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
+        points.append(p)
+    return points, spans, pairs
+
+
+def _candidate_rows(
+    points: list[Point],
+    pairs: list[int],
+    witness: tuple[Point, ...],
+    allowed: int,
+    rows: tuple[int, ...],
+    n: int,
+    mode: str,
+    gather: Callable[[int], int],
+) -> list[int]:
+    """Adjacency rows of the candidates of ``seed_candidates``: bit j of row i
+    is set iff candidates i and j can both join the witness.
+
+    In candidate p's frame the row is one mask over the differences: the
+    admissible ones, less the cyclic lines through 0 and a witness point
+    (``pair_rows[w - p]``) and, in general mode, less the circles about each
+    centre of ``pairs[p]`` through 0 (``through_origin``).  It is translated
+    by p and read at the candidates by ``gather`` (``_gatherer(points, n)``).
+    Both filters are symmetric in the two candidates, so the rows are
+    symmetric; ``allowed`` holds no zero difference, so no row holds its own
+    bit.
+    """
+    through_origin = _circle_tables(n)[1] if mode == "general" else ()
+    adj = []
+    for i, (px, py) in enumerate(points):
+        drop = 0
+        if mode != "any":
+            for wx, wy in witness:
+                drop |= rows[((wx - px) % n) * n + (wy - py) % n]
+        if through_origin:
+            centres = pairs[i]
+            while centres:
+                low = centres & -centres
+                centres ^= low
+                drop |= through_origin[low.bit_length() - 1]
+        adj.append(gather(_shift(allowed & ~drop, px, py, n)))
+    return adj
+
+
 def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum cardinality by a clique search around each canonical triangle.
 
@@ -276,30 +411,46 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     first two points fixed, the third points realizing one matrix lie in one
     orbit of the sign changes fixing both, which keep the position predicates.
 
-    Candidates are the points at admissible distances from the witness that
-    pass the position filters with it; two are adjacent when their distance
-    is admissible and they pass the filters with the witness.  The extra
-    points form a clique, bounded by the greedy coloring of
-    ``cliquegraph._color_order``; lines through two chosen points, and in
-    general mode circles through three, drop candidates as points are
-    chosen.  Seeds run in descending key order, as large leading classes
-    admit the most candidates and give a large incumbent early.
+    Candidates (``seed_candidates``) are the points at admissible distances
+    from the witness that pass the position filters with it; two are
+    adjacent (``_candidate_rows``) when their distance is admissible and they
+    pass the filters with the witness.  The extra points form a clique,
+    bounded by the greedy coloring of ``cliquegraph._color_order``; lines
+    through two chosen points, and in general mode circles through three,
+    drop candidates as points are chosen.  Seeds run in descending key order,
+    as large leading classes admit the most candidates and give a large
+    incumbent early.  A budget expiry raises ``SearchTimeout`` carrying the
+    incumbent size and points.
 
-    The filters work on bitmasks over Z_n^2 moved by ``_shift``: the points
-    at an admissible difference from p are the admissible differences
-    translated by p, and the points on a line through p and q are
-    ``pair_rows[q - p]`` translated by p.  Per seed, ``bisectors`` holds each
-    adjacent pair's bisector mask, computed once when its edge is tested, and
-    ``lines`` the line masks in candidate indices, filled on first use.
+    The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
+    the candidates by one gather: the points on a line through candidates u
+    and v are ``pair_rows[v - u]`` translated by u, filled into ``lines`` on
+    first use.  Each candidate's circle state stays in its own frame, so the
+    bisector of candidate p and a new point v is ``origin_bis[v - p]`` of
+    ``_circle_tables``, one lookup; ``_point_bisector`` runs only to fill
+    that table, n^2 times per modulus.  ``descend`` reads it through
+    ``bis_at``, laid out so that v - p is one subtraction of candidate codes.
     """
     from .geometry import line_table
 
     start = time.monotonic()
     table = edge_classes(n)
     tops = _class_tops(table)
-    rows = line_table(n).pair_rows
+    lines_of = line_table(n)
+    rows = lines_of.pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
+    # bis_at[dx*w + dy] = origin_bis[(dx % n)*n + dy % n] for |dx|, |dy| < n:
+    # the (2n - 1)^2 indices meet each position once, negatives wrapping, so
+    # with codes[p] = x*w + y the bisector of p and v in p's frame is
+    # bis_at[codes[v] - codes[p]], one subtraction
+    w = 2 * n - 1
+    bis_at = [0] * (w * w if circles else 0)
+    if circles:
+        origin_bis = _circle_tables(n)[0]
+        for dx in range(1 - n, n):
+            for dy in range(1 - n, n):
+                bis_at[dx * w + dy] = origin_bis[(dx % n) * n + dy % n]
 
     # admissible[t]: the differences whose class c > 0 has tops[c] <= t
     admissible = [0] * len(table.classes)
@@ -309,100 +460,48 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     for t in range(1, len(admissible)):
         admissible[t] |= admissible[t - 1]
 
-    seeds = [rec for rec in seed_L3(n, mode, table) if rec.canonical]
+    seeds = _canonical_seeds(n, lines_of if filtered else None)
     best = 3 if seeds else 0
     best_witness: tuple[Point, ...] = seeds[-1].witness if seeds else ()
     nodes = 0
 
     def check_budget() -> None:
         if budget is not None and time.monotonic() - start > budget:
-            raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best)
-
-    def seed_candidates(witness: tuple[Point, ...], allowed: int) -> tuple[list, ...]:
-        """Candidate points in row-major order and, in general mode, their
-        bisector unions and pairwise overlaps with the witness."""
-        cand = allowed
-        for wx, wy in witness:
-            cand &= _shift(allowed, wx, wy, n)
-        if filtered:
-            for a, (ax, ay) in enumerate(witness):
-                for bx, by in witness[a + 1 :]:
-                    cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
-        points, spans, pairs = [], [], []
-        w1, w2, w3 = witness
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            p = divmod(low.bit_length() - 1, n)
-            if circles:
-                b1 = _point_bisector(p, w1, n)
-                b2 = _point_bisector(p, w2, n)
-                b3 = _point_bisector(p, w3, n)
-                if b1 & b2 & b3:
-                    continue
-                spans.append(b1 | b2 | b3)
-                pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
-            points.append(p)
-        return points, spans, pairs
+            raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best, best_witness)
 
     for rec in reversed(seeds):
         check_budget()
         witness = rec.witness
         allowed = admissible[rec.key[0]]
-        points, spans, pairs = seed_candidates(witness, allowed)
+        points, spans, pairs = seed_candidates(witness, allowed, rows, n, mode)
         size = len(points)
         if 3 + size <= best:
             continue
-
-        index_at = {x * n + y: i for i, (x, y) in enumerate(points)}
-        occupied = sum(1 << pos for pos in index_at)
-        adj = [0] * size
-        bisectors: list[int] = [0] * (size * size if circles else 0)
-        for i, p in enumerate(points):
-            px, py = p
-            row = _shift(allowed, px, py, n) & occupied & -(2 << (px * n + py))
-            if filtered:  # drop the lines through p and a witness point
-                through = 0
-                for wx, wy in witness:
-                    through |= rows[((wx - px) % n) * n + (wy - py) % n]
-                row &= ~_shift(through, px, py, n)
-            while row:
-                low = row & -row
-                row ^= low
-                j = index_at[low.bit_length() - 1]
-                if circles:
-                    bis = _point_bisector(p, points[j], n)
-                    if bis & pairs[i]:
-                        continue
-                    bisectors[i * size + j] = bisectors[j * size + i] = bis
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
+        gather = _gatherer(points, n)
+        adj = _candidate_rows(points, pairs, witness, allowed, rows, n, mode, gather)
         lines: list[int | None] = [None] * (size * size if filtered else 0)
+        codes = [x * w + y for x, y in points]
 
         def line_mask(u: int, v: int) -> int:
             """Candidates on the cyclic line through candidates u and v, stored
             for (u, v) and (v, u)."""
             ux, uy = points[u]
             vx, vy = points[v]
-            hits = _shift(rows[((vx - ux) % n) * n + (vy - uy) % n], ux, uy, n) & occupied
-            mask = 0
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                mask |= 1 << index_at[low.bit_length() - 1]
+            mask = gather(_shift(rows[((vx - ux) % n) * n + (vy - uy) % n], ux, uy, n))
             lines[u * size + v] = lines[v * size + u] = mask
             return mask
 
         chosen: list[int] = []
 
-        def descend(cand: int, spans: dict[int, int], pairs: dict[int, int]) -> None:
+        def descend(cand: int, spans: list[int], pairs: list[int]) -> None:
             """Extend the chosen points by cliques inside ``cand``.
 
             In general mode ``spans[p]`` is the union of the bisector masks of
             candidate p with the points so far and ``pairs[p]`` the union of
-            their pairwise overlaps: p is concyclic with a new point v and two
-            earlier points iff bisector(p, v) meets ``pairs[p]``.
+            their pairwise overlaps, both in p's frame: p is concyclic with a
+            new point v and two earlier points iff ``origin_bis[v - p]``
+            (read as ``bis_at``) meets ``pairs[p]``.  Entries of candidates
+            outside ``cand`` are stale.
             """
             nonlocal best, best_witness, nodes
             nodes += 1
@@ -423,16 +522,16 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                     for u in chosen:
                         line = lines[u * size + v]
                         sub &= ~(line_mask(u, v) if line is None else line)
-                sub_spans: dict[int, int] = {}
-                sub_pairs: dict[int, int] = {}
+                sub_spans, sub_pairs = spans, pairs
                 if circles:
-                    row = v * size
+                    sub_spans, sub_pairs = spans[:], pairs[:]
+                    cv = codes[v]
                     rest = sub
                     while rest:
                         low = rest & -rest
                         p = low.bit_length() - 1
                         rest ^= low
-                        bis = bisectors[row + p]
+                        bis = bis_at[cv - codes[p]]
                         if bis & pairs[p]:
                             sub ^= low
                             continue
@@ -443,7 +542,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                 chosen.pop()
                 cand ^= 1 << v
 
-        descend((1 << size) - 1, dict(enumerate(spans)), dict(enumerate(pairs)))
+        descend((1 << size) - 1, spans, pairs)
     return best, best_witness
 
 

@@ -5,7 +5,9 @@ search.  Two other graph formulations give the same clique number and serve
 here as cross-checks: the full distance graph on all of Z_n^m, and the family
 of graphs with a fixed anchor edge class (two points fixed).  The orbits that
 search branches on are checked against orbits closed under every unit scaling
-and every rotation of the first two coordinates.
+and every rotation of the first two coordinates.  The orderly search's
+candidate graph around a triangle is checked against the per-edge walk that
+computes one bisector mask per tested pair.
 """
 
 from math import gcd
@@ -18,7 +20,8 @@ from ringpoints.cliquegraph import (
     build_full,
     max_clique,
 )
-from ringpoints.geometry import delta, is_integral_delta, point_index
+from ringpoints.geometry import delta, is_integral_delta, line_table, point_index
+from ringpoints.orderly import _point_bisector, _shift
 from ringpoints.reductions import _solve_rooted
 
 
@@ -116,3 +119,56 @@ def all_units_orbits(points, n, form_modulus):
                     orbit.append(k)
         orbits.append(orbit)
     return orbits
+
+
+def orderly_seed_graph(witness, allowed, n, mode):
+    """Candidates around a triangle and their adjacency rows, by a per-edge walk.
+
+    Returns (points, spans, pairs, adj) with ``spans`` and ``pairs`` in
+    absolute coordinates (empty outside general mode).  Every bisector mask
+    comes from its own ``_point_bisector`` call; each pair i < j of
+    candidates is tested once and its edge set in both rows.
+    """
+    rows = line_table(n).pair_rows
+    filtered = mode in ("semi-general", "general")
+    circles = mode == "general"
+    cand = allowed
+    for wx, wy in witness:
+        cand &= _shift(allowed, wx, wy, n)
+    if filtered:
+        for a, (ax, ay) in enumerate(witness):
+            for bx, by in witness[a + 1 :]:
+                cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
+    points, spans, pairs = [], [], []
+    for pos in range(n * n):
+        if not (cand >> pos) & 1:
+            continue
+        p = divmod(pos, n)
+        if circles:
+            b1, b2, b3 = (_point_bisector(p, w, n) for w in witness)
+            if b1 & b2 & b3:
+                continue
+            spans.append(b1 | b2 | b3)
+            pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
+        points.append(p)
+
+    index_at = {x * n + y: i for i, (x, y) in enumerate(points)}
+    occupied = sum(1 << pos for pos in index_at)
+    adj = [0] * len(points)
+    for i, p in enumerate(points):
+        px, py = p
+        row = _shift(allowed, px, py, n) & occupied & -(2 << (px * n + py))
+        if filtered:  # drop the lines through p and a witness point
+            through = 0
+            for wx, wy in witness:
+                through |= rows[((wx - px) % n) * n + (wy - py) % n]
+            row &= ~_shift(through, px, py, n)
+        while row:
+            low = row & -row
+            row ^= low
+            j = index_at[low.bit_length() - 1]
+            if circles and _point_bisector(p, points[j], n) & pairs[i]:
+                continue
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return points, spans, pairs, adj

@@ -9,8 +9,8 @@ module and walking its nested code objects.  Reachability is checked on small
 stand-ins for the workloads, each profiled in a fresh interpreter as the
 benchmark does, so no cache filled by an earlier test hides a call.  The
 same profiling pins the orderly search's node and canonicity-test counts on
-three small cells, and the clique search's node and search counts on three
-small calls and on the conjecture sweep.
+three small cells and its bisector calls on one, and the clique search's node
+and search counts on three small calls and on the conjecture sweep.
 """
 
 import importlib.util
@@ -118,6 +118,14 @@ def test_orderly_search_shape_is_pinned():
     for n, mode, nodes, canon_tests in cells:
         counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))
         assert (counts.get("descend"), counts.get("_ordering_exceeds")) == (nodes, canon_tests), (n, mode)
+
+
+def test_orderly_bisectors_fill_one_table():
+    # orderly.circle_calls counts _point_bisector calls: they fill the
+    # per-modulus table of _circle_tables, n^2 of them, and a filter that falls
+    # back to one call per candidate pair fails here at once
+    counts = _run_child(_COUNT_CHILD.format(n=13, mode="general"))
+    assert counts.get("_point_bisector") == 13 * 13
 
 
 def test_clique_search_shape_is_pinned():

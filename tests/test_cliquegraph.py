@@ -16,6 +16,7 @@ from ringpoints.cliquegraph import (
     _all_points,
     _cayley_adjacency,
     _color_order,
+    _greedy_clique,
     _integral_diff_table,
     _rooted_orbits,
 )
@@ -141,6 +142,25 @@ def test_tiny_graphs():
             assert res.size == 1 + edge
             assert len(res.witness) == len(set(res.witness)) == res.size
             assert set(res.witness) <= {"a", "b"}
+
+
+def test_greedy_clique_ends_on_self_loops():
+    # rows with their own bit set: the warm start drops each vertex it picks,
+    # so a stray loop neither stalls it nor repeats a vertex.  It runs in a
+    # child with a timeout, so a regression fails here instead of hanging.
+    cases = (([1], [0]), ([0b11, 0b11], [0, 1]), ([0b111, 0b011, 0b101], [0, 1]))
+    src = os.path.dirname(os.path.dirname(ringpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "from ringpoints.cliquegraph import _greedy_clique; "
+        f"print([_greedy_clique(adj, len(adj)) for adj, _ in {cases!r}])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == repr([clique for _, clique in cases])
+    # the last rows without their loops give the same clique
+    assert _greedy_clique([0b110, 0b001, 0b001], 3) == [0, 1]
 
 
 def test_one_vertex_rooted_graphs():

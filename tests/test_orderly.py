@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from oracles import orderly_seed_graph
 from ringpoints import geometry
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
@@ -24,7 +25,10 @@ from ringpoints.orderly import (
     DeltaMatrix,
     EdgeClassTable,
     PointSetRecord,
+    _candidate_rows,
+    _circle_tables,
     _class_tops,
+    _gatherer,
     _make_record,
     _ordering_exceeds,
     _point_bisector,
@@ -34,6 +38,7 @@ from ringpoints.orderly import (
     matrix_key,
     max_cardinality,
     max_cardinality_witness,
+    seed_candidates,
     seed_L3,
 )
 from ringpoints.tables import TABLE2
@@ -590,6 +595,84 @@ def test_max_cardinality_budget():
     with pytest.raises(SearchTimeout) as exc_info:
         max_cardinality(29, "semi-general", budget=0.02)
     assert exc_info.value.lower_bound >= 3
+    # the timeout carries the incumbent points, here in general position
+    n = 29
+    with pytest.raises(SearchTimeout) as exc_info:
+        max_cardinality(n, "general", budget=0.02)
+    bound, witness = exc_info.value.lower_bound, exc_info.value.witness
+    assert len(witness) == len(set(witness)) == bound >= 3
+    for a, b in combinations(witness, 2):
+        assert is_integral(a, b, n)
+    for tri in combinations(witness, 3):
+        assert not is_collinear(*tri, n)
+    for quad in combinations(witness, 4):
+        assert not is_cocircular(*quad, n)
+
+
+def test_circle_tables_translate_every_bisector():
+    # bisector(p, q) == _shift(origin_bis[q - p], *p): every pair up to
+    # n = 20, every difference from a seeded sample of points above (the
+    # exhaustive check of n = 21..30 alone takes over 12 s)
+    rng = random.Random(29)
+    for n in range(2, 31):
+        origin_bis, _ = _circle_tables(n)
+        pts = [(x, y) for x in range(n) for y in range(n)]
+        bases = pts if n <= 20 else [(0, 0), (n - 1, n - 1)] + rng.sample(pts, 6)
+        for px, py in bases:
+            # q runs over p + d for the differences d in row-major order
+            qs = [((px + dx) % n, (py + dy) % n) for dx, dy in pts]
+            expect = [_point_bisector((px, py), q, n) for q in qs]
+            assert [_shift(mask, px, py, n) for mask in origin_bis] == expect, (n, px, py)
+
+
+def test_through_origin_inverts_origin_bis():
+    # z is in origin_bis[d] iff d is in through_origin[z]: every such incidence
+    # read one way is found the other way, and both tables hold as many
+    for n in range(2, 31):
+        origin_bis, through_origin = _circle_tables(n)
+        assert len(origin_bis) == len(through_origin) == n * n
+        for d, mask in enumerate(origin_bis):
+            for z in range(n * n):
+                if (mask >> z) & 1:
+                    assert (through_origin[z] >> d) & 1, (n, d, z)
+        assert sum(m.bit_count() for m in origin_bis) == sum(m.bit_count() for m in through_origin)
+        assert origin_bis[0] == (1 << n * n) - 1  # every centre sees 0 and 0 alike
+
+
+def test_candidate_rows_match_per_edge_walk():
+    # the gathered rows in each candidate's frame against the per-edge walk
+    # with one bisector call per pair, on seeded samples of the canonical
+    # triangles, each sample with a one-candidate seed where the cell has one
+    rng = random.Random(17)
+    single = 0
+    for n in (13, 16, 20, 25):
+        table = edge_classes(n)
+        tops = _class_tops(table)
+        rows = line_table(n).pair_rows
+        seeds = [rec for rec in seed_L3(n, "semi-general") if rec.canonical]
+        for mode in ("semi-general", "general"):
+            cases = []
+            for rec in seeds:
+                allowed = sum(
+                    1 << d for d, c in enumerate(table.class_of_diff) if c > 0 and tops[c] <= rec.key[0]
+                )
+                points, spans, pairs = seed_candidates(rec.witness, allowed, rows, n, mode)
+                if points:
+                    cases.append((rec.witness, allowed, points, spans, pairs))
+            ones = [case for case in cases if len(case[2]) == 1]
+            single += bool(ones)
+            for witness, allowed, points, spans, pairs in rng.sample(cases, 10) + ones[:1]:
+                expect_points, expect_spans, expect_pairs, expect_adj = orderly_seed_graph(
+                    witness, allowed, n, mode
+                )
+                assert points == expect_points, (n, mode, witness)
+                # spans and pairs are held translated by minus their candidate
+                assert [_shift(m, x, y, n) for m, (x, y) in zip(spans, points)] == expect_spans
+                assert [_shift(m, x, y, n) for m, (x, y) in zip(pairs, points)] == expect_pairs
+                gather = _gatherer(points, n)
+                adj = _candidate_rows(points, pairs, witness, allowed, rows, n, mode, gather)
+                assert adj == expect_adj, (n, mode, witness)
+    assert single >= 6  # one-candidate seeds were compared in most cells
 
 
 def test_max_cardinality_matches_clique_value():
