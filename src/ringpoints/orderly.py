@@ -41,7 +41,6 @@ from .cliquegraph import BUDGET_POLL, _color_order
 from .errors import InvalidInputError, SearchTimeout
 from .geometry import (
     DeltaVec,
-    LineTable,
     Point,
     _bisector_mask,
     is_collinear,
@@ -271,35 +270,32 @@ def _shift(mask: int, x: int, y: int, n: int) -> int:
 def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The bisector masks of 0 and each difference, and their inverse.
 
-    ``origin_bis[d]`` is the bisector mask of 0 and d (d and the bits both
-    row-major, x*n + y); ``through_origin[z]`` is the mask of the differences
-    d whose ``origin_bis[d]`` holds z, i.e. the circle about z through 0.  A
-    centre p + z' sees p and q at one value iff 2 z'.(q - p) = |q - p|^2
-    (mod n), so every bisector mask is a translate of one of these:
-    bisector(p, q) == ``_shift(origin_bis[q - p], *p)``, for every n.
+    ``origin_bis[dx*(2n - 1) + dy]`` is the bisector mask of 0 and the
+    difference (dx, dy) mod n, for |dx|, |dy| < n (the bits row-major,
+    x*n + y).  The (2n - 1)^2 indices meet each list position once, negative
+    ones wrapping, so with code(p) = x*(2n - 1) + y the mask for q - p is
+    ``origin_bis[code(q) - code(p)]``, one subtraction.  ``through_origin[z]``
+    is the mask of the differences d (row-major) whose bisector mask holds z,
+    i.e. the circle about z through 0.  A centre p + z' sees p and q at one
+    value iff 2 z'.(q - p) = |q - p|^2 (mod n), so every bisector mask is a
+    translate of one of these: bisector(p, q) == ``_shift`` of the mask for
+    q - p by p, for every n.
     """
     n2 = n * n
-    origin_bis = tuple(_point_bisector((0, 0), divmod(d, n), n) for d in range(n2))
+    base = [_point_bisector((0, 0), divmod(d, n), n) for d in range(n2)]
     through_origin = [0] * n2
-    for d, mask in enumerate(origin_bis):
+    for d, mask in enumerate(base):
         bit = 1 << d
         while mask:
             low = mask & -mask
             through_origin[low.bit_length() - 1] |= bit
             mask ^= low
-    return origin_bis, tuple(through_origin)
-
-
-@lru_cache(maxsize=None)
-def _canonical_seeds(n: int, lines: LineTable | None) -> tuple[PointSetRecord, ...]:
-    """The canonical ``seed_L3`` records, computed once per modulus and line filter.
-
-    ``seed_L3`` gives the same records in semi-general and general mode.
-    ``lines`` is the line table the collinearity filter reads (None for no
-    filter), so another line definition gets seeds of its own.
-    """
-    mode = "any" if lines is None else "semi-general"
-    return tuple(rec for rec in seed_L3(n, mode) if rec.canonical)
+    w = 2 * n - 1
+    origin_bis = [0] * (w * w)
+    for dx in range(1 - n, n):
+        for dy in range(1 - n, n):
+            origin_bis[dx * w + dy] = base[(dx % n) * n + dy % n]
+    return tuple(origin_bis), tuple(through_origin)
 
 
 def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
@@ -341,15 +337,17 @@ def seed_candidates(
     spans: list[int] = []
     pairs: list[int] = []
     origin_bis = _circle_tables(n)[0] if mode == "general" else ()
-    (w1x, w1y), (w2x, w2y), (w3x, w3y) = witness
+    w = 2 * n - 1
+    c1, c2, c3 = (x * w + y for x, y in witness)
     while cand:
         low = cand & -cand
         cand ^= low
         px, py = p = divmod(low.bit_length() - 1, n)
         if origin_bis:
-            b1 = origin_bis[((w1x - px) % n) * n + (w1y - py) % n]
-            b2 = origin_bis[((w2x - px) % n) * n + (w2y - py) % n]
-            b3 = origin_bis[((w3x - px) % n) * n + (w3y - py) % n]
+            cp = px * w + py
+            b1 = origin_bis[c1 - cp]
+            b2 = origin_bis[c2 - cp]
+            b3 = origin_bis[c3 - cp]
             if b1 & b2 & b3:
                 continue
             spans.append(b1 | b2 | b3)
@@ -426,31 +424,20 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     the candidates by one gather: the points on a line through candidates u
     and v are ``pair_rows[v - u]`` translated by u, filled into ``lines`` on
     first use.  Each candidate's circle state stays in its own frame, so the
-    bisector of candidate p and a new point v is ``origin_bis[v - p]`` of
-    ``_circle_tables``, one lookup; ``_point_bisector`` runs only to fill
-    that table, n^2 times per modulus.  ``descend`` reads it through
-    ``bis_at``, laid out so that v - p is one subtraction of candidate codes.
+    bisector of candidate p and a new point v is the ``origin_bis`` entry of
+    ``_circle_tables`` at ``codes[v] - codes[p]``, one lookup;
+    ``_point_bisector`` runs only to fill that table, n^2 times per modulus.
     """
     from .geometry import line_table
 
     start = time.monotonic()
     table = edge_classes(n)
     tops = _class_tops(table)
-    lines_of = line_table(n)
-    rows = lines_of.pair_rows
+    rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
-    # bis_at[dx*w + dy] = origin_bis[(dx % n)*n + dy % n] for |dx|, |dy| < n:
-    # the (2n - 1)^2 indices meet each position once, negatives wrapping, so
-    # with codes[p] = x*w + y the bisector of p and v in p's frame is
-    # bis_at[codes[v] - codes[p]], one subtraction
+    origin_bis = _circle_tables(n)[0] if circles else ()
     w = 2 * n - 1
-    bis_at = [0] * (w * w if circles else 0)
-    if circles:
-        origin_bis = _circle_tables(n)[0]
-        for dx in range(1 - n, n):
-            for dy in range(1 - n, n):
-                bis_at[dx * w + dy] = origin_bis[(dx % n) * n + dy % n]
 
     # admissible[t]: the differences whose class c > 0 has tops[c] <= t
     admissible = [0] * len(table.classes)
@@ -460,7 +447,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     for t in range(1, len(admissible)):
         admissible[t] |= admissible[t - 1]
 
-    seeds = _canonical_seeds(n, lines_of if filtered else None)
+    seeds = [rec for rec in seed_L3(n, mode, table) if rec.canonical]
     best = 3 if seeds else 0
     best_witness: tuple[Point, ...] = seeds[-1].witness if seeds else ()
     nodes = 0
@@ -499,9 +486,9 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
             In general mode ``spans[p]`` is the union of the bisector masks of
             candidate p with the points so far and ``pairs[p]`` the union of
             their pairwise overlaps, both in p's frame: p is concyclic with a
-            new point v and two earlier points iff ``origin_bis[v - p]``
-            (read as ``bis_at``) meets ``pairs[p]``.  Entries of candidates
-            outside ``cand`` are stale.
+            new point v and two earlier points iff the bisector mask for
+            v - p (``origin_bis[codes[v] - codes[p]]``) meets ``pairs[p]``.
+            Entries of candidates outside ``cand`` are stale.
             """
             nonlocal best, best_witness, nodes
             nodes += 1
@@ -531,7 +518,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                         low = rest & -rest
                         p = low.bit_length() - 1
                         rest ^= low
-                        bis = bis_at[cv - codes[p]]
+                        bis = origin_bis[cv - codes[p]]
                         if bis & pairs[p]:
                             sub ^= low
                             continue

@@ -610,11 +610,13 @@ def test_max_cardinality_budget():
 
 
 def test_circle_tables_translate_every_bisector():
-    # bisector(p, q) == _shift(origin_bis[q - p], *p): every pair up to
-    # n = 20, every difference from a seeded sample of points above (the
-    # exhaustive check of n = 21..30 alone takes over 12 s)
+    # bisector(p, q) == _shift(mask for q - p, *p): every pair up to n = 20,
+    # every difference from a seeded sample of points above (the exhaustive
+    # check of n = 21..30 alone takes over 12 s); the mask for q - p sits at
+    # code(q) - code(p), code(x, y) = x*(2n - 1) + y
     rng = random.Random(29)
     for n in range(2, 31):
+        w = 2 * n - 1
         origin_bis, _ = _circle_tables(n)
         pts = [(x, y) for x in range(n) for y in range(n)]
         bases = pts if n <= 20 else [(0, 0), (n - 1, n - 1)] + rng.sample(pts, 6)
@@ -622,21 +624,37 @@ def test_circle_tables_translate_every_bisector():
             # q runs over p + d for the differences d in row-major order
             qs = [((px + dx) % n, (py + dy) % n) for dx, dy in pts]
             expect = [_point_bisector((px, py), q, n) for q in qs]
-            assert [_shift(mask, px, py, n) for mask in origin_bis] == expect, (n, px, py)
+            got = [_shift(origin_bis[(qx - px) * w + qy - py], px, py, n) for qx, qy in qs]
+            assert got == expect, (n, px, py)
+
+
+def test_circle_tables_wrap_negative_differences():
+    # every code difference (dx, dy) with |dx|, |dy| < n has its own entry,
+    # equal to the entry of (dx mod n, dy mod n)
+    for n in range(2, 31):
+        w = 2 * n - 1
+        origin_bis, _ = _circle_tables(n)
+        assert len(origin_bis) == w * w
+        for dx in range(1 - n, n):
+            for dy in range(1 - n, n):
+                assert origin_bis[dx * w + dy] == origin_bis[(dx % n) * w + dy % n], (n, dx, dy)
 
 
 def test_through_origin_inverts_origin_bis():
-    # z is in origin_bis[d] iff d is in through_origin[z]: every such incidence
-    # read one way is found the other way, and both tables hold as many
+    # z is in the mask of d iff d is in through_origin[z]: every such
+    # incidence read one way is found the other way, and both tables hold as
+    # many
     for n in range(2, 31):
+        w = 2 * n - 1
         origin_bis, through_origin = _circle_tables(n)
-        assert len(origin_bis) == len(through_origin) == n * n
-        for d, mask in enumerate(origin_bis):
+        masks = [origin_bis[x * w + y] for x in range(n) for y in range(n)]
+        assert len(through_origin) == n * n
+        for d, mask in enumerate(masks):
             for z in range(n * n):
                 if (mask >> z) & 1:
                     assert (through_origin[z] >> d) & 1, (n, d, z)
-        assert sum(m.bit_count() for m in origin_bis) == sum(m.bit_count() for m in through_origin)
-        assert origin_bis[0] == (1 << n * n) - 1  # every centre sees 0 and 0 alike
+        assert sum(m.bit_count() for m in masks) == sum(m.bit_count() for m in through_origin)
+        assert masks[0] == (1 << n * n) - 1  # every centre sees 0 and 0 alike
 
 
 def test_candidate_rows_match_per_edge_walk():
