@@ -31,7 +31,7 @@ coloring of ``cliquegraph._color_order``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -266,16 +266,30 @@ def _shift(mask: int, x: int, y: int, n: int) -> int:
     return mask
 
 
+def _code_layout(values: Sequence[int], n: int) -> tuple[int, ...]:
+    """A table over the differences of Z_n^2 (row-major, x*n + y), laid out by code.
+
+    The entry for the difference (dx, dy) mod n, |dx|, |dy| < n, sits at
+    dx*(2n - 1) + dy.  The (2n - 1)^2 indices meet each position once,
+    negative ones wrapping, so with code(p) = x*(2n - 1) + y the entry for
+    q - p is at code(q) - code(p), one subtraction.
+    """
+    w = 2 * n - 1
+    out = [0] * (w * w)
+    for dx in range(1 - n, n):
+        for dy in range(1 - n, n):
+            out[dx * w + dy] = values[(dx % n) * n + dy % n]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The bisector masks of 0 and each difference, and their inverse.
 
-    ``origin_bis[dx*(2n - 1) + dy]`` is the bisector mask of 0 and the
-    difference (dx, dy) mod n, for |dx|, |dy| < n (the bits row-major,
-    x*n + y).  The (2n - 1)^2 indices meet each list position once, negative
-    ones wrapping, so with code(p) = x*(2n - 1) + y the mask for q - p is
-    ``origin_bis[code(q) - code(p)]``, one subtraction.  ``through_origin[z]``
-    is the mask of the differences d (row-major) whose bisector mask holds z,
+    ``origin_bis`` holds the bisector mask of 0 and each difference (the
+    bits row-major, x*n + y), laid out by ``_code_layout``: the mask for
+    q - p is ``origin_bis[code(q) - code(p)]``.  ``through_origin[z]`` is
+    the mask of the differences d (row-major) whose bisector mask holds z,
     i.e. the circle about z through 0.  A centre p + z' sees p and q at one
     value iff 2 z'.(q - p) = |q - p|^2 (mod n), so every bisector mask is a
     translate of one of these: bisector(p, q) == ``_shift`` of the mask for
@@ -290,12 +304,7 @@ def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             low = mask & -mask
             through_origin[low.bit_length() - 1] |= bit
             mask ^= low
-    w = 2 * n - 1
-    origin_bis = [0] * (w * w)
-    for dx in range(1 - n, n):
-        for dy in range(1 - n, n):
-            origin_bis[dx * w + dy] = base[(dx % n) * n + dy % n]
-    return tuple(origin_bis), tuple(through_origin)
+    return _code_layout(base, n), tuple(through_origin)
 
 
 def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
@@ -421,11 +430,14 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     incumbent size and points.
 
     The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
-    the candidates by one gather: the points on a line through candidates u
-    and v are ``pair_rows[v - u]`` translated by u, filled into ``lines`` on
-    first use.  Each candidate's circle state stays in its own frame, so the
-    bisector of candidate p and a new point v is the ``origin_bis`` entry of
-    ``_circle_tables`` at ``codes[v] - codes[p]``, one lookup;
+    the candidates by one gather.  In semi-general mode the points on a line
+    through candidates u and v are ``pair_rows[v - u]`` translated by u,
+    filled into ``lines`` on first use.  In general mode each candidate keeps
+    its line and circle state in its own frame, and ``descend`` visits every
+    candidate at each branch for the circles anyway, so both tests are
+    lookups at ``codes[v] - codes[p]`` in tables laid out by
+    ``_code_layout``: the bisector of candidate p and a new point v is
+    ``origin_bis[codes[v] - codes[p]]`` of ``_circle_tables``, and
     ``_point_bisector`` runs only to fill that table, n^2 times per modulus.
     """
     from .geometry import line_table
@@ -436,8 +448,14 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
-    origin_bis = _circle_tables(n)[0] if circles else ()
     w = 2 * n - 1
+    origin_bis = bit_at = line_at = ()
+    if circles:
+        origin_bis = _circle_tables(n)[0]
+        # the bit of each difference and the cyclic lines through 0 and it,
+        # from the line table this call reads
+        bit_at = _code_layout([1 << d for d in range(n * n)], n)
+        line_at = _code_layout(rows, n)
 
     # admissible[t]: the differences whose class c > 0 has tops[c] <= t
     admissible = [0] * len(table.classes)
@@ -466,7 +484,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
             continue
         gather = _gatherer(points, n)
         adj = _candidate_rows(points, pairs, witness, allowed, rows, n, mode, gather)
-        lines: list[int | None] = [None] * (size * size if filtered else 0)
+        lines: list[int | None] = [None] * (size * size if filtered and not circles else 0)
         codes = [x * w + y for x, y in points]
 
         def line_mask(u: int, v: int) -> int:
@@ -480,15 +498,19 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
 
         chosen: list[int] = []
 
-        def descend(cand: int, spans: list[int], pairs: list[int]) -> None:
+        def descend(cand: int, spans: list[int], pairs: list[int], spokes: list[int]) -> None:
             """Extend the chosen points by cliques inside ``cand``.
 
             In general mode ``spans[p]`` is the union of the bisector masks of
-            candidate p with the points so far and ``pairs[p]`` the union of
-            their pairwise overlaps, both in p's frame: p is concyclic with a
-            new point v and two earlier points iff the bisector mask for
-            v - p (``origin_bis[codes[v] - codes[p]]``) meets ``pairs[p]``.
-            Entries of candidates outside ``cand`` are stale.
+            candidate p with the points so far, ``pairs[p]`` the union of
+            their pairwise overlaps and ``spokes[p]`` the union of the cyclic
+            lines through p and each chosen point, all in p's frame: p is
+            concyclic with a new point v and two earlier points iff the
+            bisector mask for v - p (``origin_bis[codes[v] - codes[p]]``)
+            meets ``pairs[p]``, and on one line with v and a chosen point iff
+            ``spokes[p]`` holds v - p.  The witness needs no spokes, as the
+            adjacency rows already drop its lines.  Entries of candidates
+            outside ``cand`` are stale.
             """
             nonlocal best, best_witness, nodes
             nodes += 1
@@ -505,31 +527,33 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
                 if r + color <= best:
                     return
                 sub = cand & adj[v]
-                if filtered:
-                    for u in chosen:
-                        line = lines[u * size + v]
-                        sub &= ~(line_mask(u, v) if line is None else line)
-                sub_spans, sub_pairs = spans, pairs
+                sub_spans, sub_pairs, sub_spokes = spans, pairs, spokes
                 if circles:
-                    sub_spans, sub_pairs = spans[:], pairs[:]
+                    sub_spans, sub_pairs, sub_spokes = spans[:], pairs[:], spokes[:]
                     cv = codes[v]
                     rest = sub
                     while rest:
                         low = rest & -rest
                         p = low.bit_length() - 1
                         rest ^= low
-                        bis = origin_bis[cv - codes[p]]
-                        if bis & pairs[p]:
+                        c = cv - codes[p]
+                        bis = origin_bis[c]
+                        if bis & pairs[p] or spokes[p] & bit_at[c]:
                             sub ^= low
                             continue
                         sub_pairs[p] = pairs[p] | (bis & spans[p])
                         sub_spans[p] = spans[p] | bis
+                        sub_spokes[p] = spokes[p] | line_at[c]
+                elif filtered:
+                    for u in chosen:
+                        line = lines[u * size + v]
+                        sub &= ~(line_mask(u, v) if line is None else line)
                 chosen.append(v)
-                descend(sub, sub_spans, sub_pairs)
+                descend(sub, sub_spans, sub_pairs, sub_spokes)
                 chosen.pop()
                 cand ^= 1 << v
 
-        descend((1 << size) - 1, spans, pairs)
+        descend((1 << size) - 1, spans, pairs, [0] * (size if circles else 0))
     return best, best_witness
 
 

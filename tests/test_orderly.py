@@ -613,7 +613,8 @@ def test_circle_tables_translate_every_bisector():
     # bisector(p, q) == _shift(mask for q - p, *p): every pair up to n = 20,
     # every difference from a seeded sample of points above (the exhaustive
     # check of n = 21..30 alone takes over 12 s); the mask for q - p sits at
-    # code(q) - code(p), code(x, y) = x*(2n - 1) + y
+    # code(q) - code(p), code(x, y) = x*(2n - 1) + y, so up to n = 20 the
+    # pairs read every entry, negative code differences included
     rng = random.Random(29)
     for n in range(2, 31):
         w = 2 * n - 1
@@ -628,18 +629,6 @@ def test_circle_tables_translate_every_bisector():
             assert got == expect, (n, px, py)
 
 
-def test_circle_tables_wrap_negative_differences():
-    # every code difference (dx, dy) with |dx|, |dy| < n has its own entry,
-    # equal to the entry of (dx mod n, dy mod n)
-    for n in range(2, 31):
-        w = 2 * n - 1
-        origin_bis, _ = _circle_tables(n)
-        assert len(origin_bis) == w * w
-        for dx in range(1 - n, n):
-            for dy in range(1 - n, n):
-                assert origin_bis[dx * w + dy] == origin_bis[(dx % n) * w + dy % n], (n, dx, dy)
-
-
 def test_through_origin_inverts_origin_bis():
     # z is in the mask of d iff d is in through_origin[z]: every such
     # incidence read one way is found the other way, and both tables hold as
@@ -648,7 +637,7 @@ def test_through_origin_inverts_origin_bis():
         w = 2 * n - 1
         origin_bis, through_origin = _circle_tables(n)
         masks = [origin_bis[x * w + y] for x in range(n) for y in range(n)]
-        assert len(through_origin) == n * n
+        assert len(origin_bis) == w * w and len(through_origin) == n * n
         for d, mask in enumerate(masks):
             for z in range(n * n):
                 if (mask >> z) & 1:
