@@ -25,7 +25,8 @@ candidates on a line through two of them are intersections of translated
 masks, read at the candidates by one C gather, not scans of all n^2 points.
 Each candidate keeps its circle state in its own frame, translated by minus
 the candidate, so every bisector mask it needs is one entry of a table built
-once per modulus (``_circle_tables``).  The search is bounded by the greedy
+once per modulus (``_circle_tables``); in general mode its lines through the
+chosen points stay in that frame too.  The search is bounded by the greedy
 coloring of ``cliquegraph._color_order``.
 """
 
