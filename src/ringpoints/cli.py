@@ -38,48 +38,47 @@ from .tables import TABLE1, TABLE1_COLUMNS, TABLE2, TABLE3
 MODE_NAMES = ("I", "semi-general", "general")
 
 
-def _compute_value(args) -> tuple[int, list | None, int]:
-    """(value, witness, elapsed_ms) for the requested mode; a search out of budget raises."""
-    t0 = time.monotonic()
-    witness = None
+def _compute_value(args) -> tuple[int, list | None]:
+    """(value, witness) for the requested mode; a search out of budget raises."""
     if args.mode == "I":
-        value = I_of(args.n, args.m, budget=args.budget)
-    else:
-        if args.m != 2:
-            raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
-        value, wit = max_cardinality_witness(args.n, args.mode, budget=args.budget)
-        witness = [list(p) for p in wit]
-    return value, witness, int((time.monotonic() - t0) * 1000)
+        return I_of(args.n, args.m, budget=args.budget), None
+    if args.m != 2:
+        raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
+    value, witness = max_cardinality_witness(args.n, args.mode, budget=args.budget)
+    return value, [list(p) for p in witness]
 
 
 def cmd_value(args) -> int:
     cache = ResultCache(args.cache)
     rec = cache.get(args.n, args.m, args.mode)
+    code = 0
     if rec is None or not rec.exact:
+        t0 = time.monotonic()
         try:
-            value, witness, elapsed = _compute_value(args)
+            value, witness = _compute_value(args)
         except SearchTimeout as exc:
             print(f"timeout: best lower bound {exc.lower_bound}", file=sys.stderr)
-            print(exc.lower_bound)
-            return 2
+            # the incumbent is a proven lower bound: reported, never cached
+            value, witness, code = exc.lower_bound, [list(p) for p in exc.witness] or None, 2
         rec = ResultRecord(
             n=args.n,
             m=args.m,
             mode=args.mode,
             value=value,
-            exact=True,
+            exact=code == 0,
             witness=witness,
-            elapsed_ms=elapsed,
+            elapsed_ms=int((time.monotonic() - t0) * 1000),
         )
-        cache.put(rec)
-        cache.save()
+        if rec.exact:
+            cache.put(rec)
+            cache.save()
     if args.json:
         payload = rec.payload()
         payload["version"] = __version__
         print(json.dumps(payload, sort_keys=True))
     else:
         print(rec.value)
-    return 0
+    return code
 
 
 def _table_rows(args):

@@ -20,11 +20,12 @@ pinned to the first point of its leading class's sphere.  Circles are decided
 by the bisector masks of ``geometry``.
 
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
-translated on the torus by ``_shift``: candidates, adjacency rows and the
-candidates on a line through two of them are intersections of translated
-masks, read at the candidates by one C gather, not scans of all n^2 points.
-Each candidate keeps its circle state in its own frame, translated by minus
-the candidate, so every bisector mask it needs is one entry of a table built
+translated on the torus by ``_shift``: adjacency rows and the candidates on a
+line through two of them are translated masks, read at the candidates by one
+C gather, not scans of all n^2 points.  Each candidate is tested in its own
+frame, translated by minus the candidate: ``seed_candidates`` decides its
+lines with the witness points there, once per seed, and it keeps its circle
+state there, so every bisector mask it needs is one entry of a table built
 once per modulus (``_circle_tables``); in general mode its lines through the
 chosen points stay in that frame too.  The search is bounded by the greedy
 coloring of ``cliquegraph._color_order``.
@@ -323,38 +324,54 @@ def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
 
 
 def seed_candidates(
-    witness: tuple[Point, ...], allowed: int, rows: tuple[int, ...], n: int, mode: str
-) -> tuple[list[Point], list[int], list[int]]:
-    """Candidate points around a triangle, in row-major order, with their circle state.
+    witness: tuple[Point, ...], allowed: int, frame: tuple, n: int, best: int
+) -> tuple[list[Point], list[int], list[int], list[int], Callable[[int], int]] | None:
+    """The candidates around a triangle, in row-major order, and their graph.
 
     A candidate is at an admissible difference (``allowed``) from each
-    witness point and, in the filtered modes, on no cyclic line through two
-    of them (``rows`` is ``line_table(n).pair_rows``).  In general mode
-    ``spans[i]`` is the union of the bisector masks of candidate i with the
-    witness points and ``pairs[i]`` the union of their pairwise overlaps,
-    both held in the candidate's own frame (translated by minus the
-    candidate); a candidate whose three masks share a centre is concyclic
-    with the witness and dropped.
+    witness point.  The filtered modes pass ``frame = (bit_at, line_at,
+    origin_bis)``: ``_code_layout`` tables of the bit of each difference, the
+    cyclic lines through 0 and it and, in general mode, its bisector mask with
+    0; ``"any"`` passes ``()``.  Candidate p reads them in its own frame, at
+    code(w) - code(p), and is on a line with witness points w and w' iff the
+    line entry for w - p holds w' - p.  In general mode ``spans[i]`` and
+    ``pairs[i]`` are the unions of the bisector masks of candidate i with the
+    witness points and of their pairwise overlaps, in its frame; a candidate
+    whose three masks share a centre is concyclic with the witness.
+
+    Returns None if the candidates cannot beat ``best`` (at least 3), else
+    (points, spans, pairs, adj, gather), ``gather = _gatherer(points, n)``.
+    Row p of ``adj`` is, in p's frame, the admissible differences less its
+    spokes (its lines through the witness) and, in general mode, the circles
+    through 0 about each centre of ``pairs[p]`` (``through_origin``), shifted
+    by p and gathered.  Both filters are symmetric in two candidates, so the
+    rows are; ``allowed`` holds no zero difference, so no row has its own bit.
     """
     cand = allowed
     for wx, wy in witness:
         cand &= _shift(allowed, wx, wy, n)
-    if mode != "any":
-        for a, (ax, ay) in enumerate(witness):
-            for bx, by in witness[a + 1 :]:
-                cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
+    bit_at, line_at, origin_bis = frame or ((), (), ())
+    w = 2 * n - 1
+    c1, c2, c3 = (x * w + y for x, y in witness)
     points: list[Point] = []
     spans: list[int] = []
     pairs: list[int] = []
-    origin_bis = _circle_tables(n)[0] if mode == "general" else ()
-    w = 2 * n - 1
-    c1, c2, c3 = (x * w + y for x, y in witness)
+    spokes: list[int] = []
     while cand:
         low = cand & -cand
         cand ^= low
         px, py = p = divmod(low.bit_length() - 1, n)
+        cp = px * w + py
+        line = 0
+        if line_at:
+            line = line_at[c1 - cp]
+            if line & bit_at[c2 - cp]:
+                continue
+            line |= line_at[c2 - cp]
+            if line & bit_at[c3 - cp]:
+                continue
+            line |= line_at[c3 - cp]
         if origin_bis:
-            cp = px * w + py
             b1 = origin_bis[c1 - cp]
             b2 = origin_bis[c2 - cp]
             b3 = origin_bis[c3 - cp]
@@ -363,46 +380,21 @@ def seed_candidates(
             spans.append(b1 | b2 | b3)
             pairs.append((b1 & b2) | (b1 & b3) | (b2 & b3))
         points.append(p)
-    return points, spans, pairs
-
-
-def _candidate_rows(
-    points: list[Point],
-    pairs: list[int],
-    witness: tuple[Point, ...],
-    allowed: int,
-    rows: tuple[int, ...],
-    n: int,
-    mode: str,
-    gather: Callable[[int], int],
-) -> list[int]:
-    """Adjacency rows of the candidates of ``seed_candidates``: bit j of row i
-    is set iff candidates i and j can both join the witness.
-
-    In candidate p's frame the row is one mask over the differences: the
-    admissible ones, less the cyclic lines through 0 and a witness point
-    (``pair_rows[w - p]``) and, in general mode, less the circles about each
-    centre of ``pairs[p]`` through 0 (``through_origin``).  It is translated
-    by p and read at the candidates by ``gather`` (``_gatherer(points, n)``).
-    Both filters are symmetric in the two candidates, so the rows are
-    symmetric; ``allowed`` holds no zero difference, so no row holds its own
-    bit.
-    """
-    through_origin = _circle_tables(n)[1] if mode == "general" else ()
+        spokes.append(line)
+    if 3 + len(points) <= best:
+        return None
+    gather = _gatherer(points, n)
+    through_origin = _circle_tables(n)[1] if origin_bis else ()
     adj = []
     for i, (px, py) in enumerate(points):
-        drop = 0
-        if mode != "any":
-            for wx, wy in witness:
-                drop |= rows[((wx - px) % n) * n + (wy - py) % n]
-        if through_origin:
-            centres = pairs[i]
-            while centres:
-                low = centres & -centres
-                centres ^= low
-                drop |= through_origin[low.bit_length() - 1]
+        drop = spokes[i]
+        centres = pairs[i] if pairs else 0
+        while centres:
+            low = centres & -centres
+            centres ^= low
+            drop |= through_origin[low.bit_length() - 1]
         adj.append(gather(_shift(allowed & ~drop, px, py, n)))
-    return adj
+    return points, spans, pairs, adj, gather
 
 
 def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point, ...]]:
@@ -419,9 +411,9 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     first two points fixed, the third points realizing one matrix lie in one
     orbit of the sign changes fixing both, which keep the position predicates.
 
-    Candidates (``seed_candidates``) are the points at admissible distances
-    from the witness that pass the position filters with it; two are
-    adjacent (``_candidate_rows``) when their distance is admissible and they
+    ``seed_candidates`` is the whole per-seed set-up: the candidates are the
+    points at admissible distances from the witness that pass the position
+    filters with it, two adjacent when their distance is admissible and they
     pass the filters with the witness.  The extra points form a clique,
     bounded by the greedy coloring of ``cliquegraph._color_order``; lines
     through two chosen points, and in general mode circles through three,
@@ -431,7 +423,10 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     incumbent size and points.
 
     The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
-    the candidates by one gather.  In semi-general mode the points on a line
+    the candidates by one gather.  In both filtered modes one ``frame`` of
+    ``_code_layout`` tables decides the witness constraints in each
+    candidate's own frame; its line tables are built per call from the line
+    table the call reads.  In semi-general mode the points on a line
     through candidates u and v are ``pair_rows[v - u]`` translated by u,
     filled into ``lines`` on first use.  In general mode each candidate keeps
     its line and circle state in its own frame, and ``descend`` visits every
@@ -450,13 +445,12 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
     w = 2 * n - 1
-    origin_bis = bit_at = line_at = ()
-    if circles:
-        origin_bis = _circle_tables(n)[0]
-        # the bit of each difference and the cyclic lines through 0 and it,
-        # from the line table this call reads
+    bit_at = line_at = origin_bis = ()
+    if filtered:  # built per call, from the line table this call reads
         bit_at = _code_layout([1 << d for d in range(n * n)], n)
         line_at = _code_layout(rows, n)
+        origin_bis = _circle_tables(n)[0] if circles else ()
+    frame = (bit_at, line_at, origin_bis) if filtered else ()
 
     # admissible[t]: the differences whose class c > 0 has tops[c] <= t
     admissible = [0] * len(table.classes)
@@ -478,13 +472,11 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     for rec in reversed(seeds):
         check_budget()
         witness = rec.witness
-        allowed = admissible[rec.key[0]]
-        points, spans, pairs = seed_candidates(witness, allowed, rows, n, mode)
-        size = len(points)
-        if 3 + size <= best:
+        found = seed_candidates(witness, admissible[rec.key[0]], frame, n, best)
+        if found is None:
             continue
-        gather = _gatherer(points, n)
-        adj = _candidate_rows(points, pairs, witness, allowed, rows, n, mode, gather)
+        points, spans, pairs, adj, gather = found
+        size = len(points)
         lines: list[int | None] = [None] * (size * size if filtered and not circles else 0)
         codes = [x * w + y for x, y in points]
 

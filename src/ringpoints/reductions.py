@@ -170,8 +170,7 @@ def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
 
 
 def even_reduction_value(two_n: int, m: int, budget: float | None = None) -> int:
-    g = even_reduction_graph(two_n, m)
-    return _rooted_value(g, _rooted_seed(two_n, g.n, m), budget, two_n, scale=2**m)
+    return _rooted_value(even_reduction_graph(two_n, m), two_n, budget)
 
 
 def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
@@ -186,19 +185,19 @@ def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
     return [(u,) + (0,) * (m - 1) for u in range(1, k)]
 
 
-def _rooted_value(
-    g: DistanceGraph, seed: list[Point], budget: float | None, form_modulus: int, scale: int = 1
-) -> int:
+def _rooted_value(g: DistanceGraph, form_modulus: int, budget: float | None) -> int:
     """scale * (1 + maximum clique) of a graph rooted at 0, branching per orbit.
 
     ``form_modulus`` is the modulus of the quadratic form behind the graph's
-    adjacency, as ``_rooted_orbits`` takes it.  On budget expiry raises
-    SearchTimeout carrying the same expression for the incumbent clique, a
-    proven lower bound.
+    adjacency over Z_k^m (2k for the even weight graph, else k), as
+    ``_rooted_orbits`` takes it.  The seed is ``_rooted_seed(form_modulus, k,
+    m)`` and scale = (form_modulus / k)^m, the preimages of each point.  On
+    budget expiry raises SearchTimeout carrying the same expression for the
+    incumbent clique, a proven lower bound.
     """
     orbits = _rooted_orbits(g.labels, g.n, form_modulus)
-    res = max_clique(g, budget=budget, initial=seed, orbits=orbits)
-    value = scale * (1 + res.size)
+    res = max_clique(g, budget=budget, initial=_rooted_seed(form_modulus, g.n, g.m), orbits=orbits)
+    value = (form_modulus // g.n) ** g.m * (1 + res.size)
     if not res.exact:
         raise SearchTimeout(f"rooted search over Z_{g.n}^{g.m} hit budget", value)
     return value
@@ -214,7 +213,7 @@ def hamming_I3_value(m: int, budget: float | None = None) -> int:
     The top level branches once per Hamming weight: coordinate permutations
     and sign changes fix 0 and move any point onto any other of its weight.
     """
-    return _rooted_value(build_rooted(3, m, _hamming_table(m)), _rooted_seed(3, 3, m), budget, 3)
+    return _rooted_value(build_rooted(3, m, _hamming_table(m)), 3, budget)
 
 
 def _hamming_table(m: int) -> list[bool]:
@@ -256,7 +255,7 @@ def semi_general_upper(n: int) -> int:
 
 
 def _solve_rooted(n: int, m: int, budget: float | None) -> int:
-    return _rooted_value(build_rooted(n, m), _rooted_seed(n, n, m), budget, n)
+    return _rooted_value(build_rooted(n, m), n, budget)
 
 
 def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None) -> int:

@@ -1,10 +1,11 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from ringpoints.cache import ResultCache, ResultRecord
 from ringpoints.cli import main
-from ringpoints.geometry import is_integral
+from ringpoints.geometry import is_collinear, is_integral
 
 
 def run(argv, capsys):
@@ -60,6 +61,27 @@ def test_value_timeout_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "lower bound" in err
+
+
+def test_value_timeout_json_carries_incumbent(tmp_path, capsys):
+    # semi-general n = 50 is open after hundreds of seconds; the record is the
+    # incumbent, a lower bound with its points, and is not cached
+    cache = tmp_path / "c.json"
+    code, out, err = run(
+        ["value", "--n", "50", "--m", "2", "--mode", "semi-general", "--budget", "0.5", "--json",
+         "--cache", str(cache)],
+        capsys,
+    )
+    assert code == 2 and "lower bound" in err
+    payload = json.loads(out)
+    assert payload["exact"] is False and payload["mode"] == "semi-general"
+    points = [tuple(p) for p in payload["witness"]]
+    assert len(points) == len(set(points)) == payload["value"] >= 3
+    for a, b in combinations(points, 2):
+        assert is_integral(a, b, 50)
+    for tri in combinations(points, 3):
+        assert not is_collinear(*tri, 50)
+    assert ResultCache(str(cache)).get(50, 2, "semi-general") is None
 
 
 def test_value_has_one_dispatch():

@@ -25,10 +25,9 @@ from ringpoints.orderly import (
     DeltaMatrix,
     EdgeClassTable,
     PointSetRecord,
-    _candidate_rows,
     _circle_tables,
     _class_tops,
-    _gatherer,
+    _code_layout,
     _make_record,
     _ordering_exceeds,
     _point_bisector,
@@ -647,28 +646,33 @@ def test_through_origin_inverts_origin_bis():
 
 
 def test_candidate_rows_match_per_edge_walk():
-    # the gathered rows in each candidate's frame against the per-edge walk
-    # with one bisector call per pair, on seeded samples of the canonical
-    # triangles, each sample with a one-candidate seed where the cell has one
+    # seed_candidates, which decides the witness lines and builds the gathered
+    # rows in each candidate's frame, against the per-edge walk with one
+    # bisector call per pair, on seeded samples of the canonical triangles,
+    # each sample with a one-candidate seed where the cell has one; a best the
+    # candidates cannot beat builds nothing
     rng = random.Random(17)
-    single = 0
+    single = witness_lines = 0
     for n in (13, 16, 20, 25):
         table = edge_classes(n)
         tops = _class_tops(table)
-        rows = line_table(n).pair_rows
+        bit_at = _code_layout([1 << d for d in range(n * n)], n)
+        line_at = _code_layout(line_table(n).pair_rows, n)
         seeds = [rec for rec in seed_L3(n, "semi-general") if rec.canonical]
         for mode in ("semi-general", "general"):
+            frame = (bit_at, line_at, _circle_tables(n)[0] if mode == "general" else ())
             cases = []
             for rec in seeds:
                 allowed = sum(
                     1 << d for d, c in enumerate(table.class_of_diff) if c > 0 and tops[c] <= rec.key[0]
                 )
-                points, spans, pairs = seed_candidates(rec.witness, allowed, rows, n, mode)
-                if points:
-                    cases.append((rec.witness, allowed, points, spans, pairs))
+                found = seed_candidates(rec.witness, allowed, frame, n, 3)
+                if found is not None:
+                    cases.append((rec.witness, allowed, *found))
             ones = [case for case in cases if len(case[2]) == 1]
             single += bool(ones)
-            for witness, allowed, points, spans, pairs in rng.sample(cases, 10) + ones[:1]:
+            for case in rng.sample(cases, 10) + ones[:1]:
+                witness, allowed, points, spans, pairs, adj, gather = case
                 expect_points, expect_spans, expect_pairs, expect_adj = orderly_seed_graph(
                     witness, allowed, n, mode
                 )
@@ -676,10 +680,15 @@ def test_candidate_rows_match_per_edge_walk():
                 # spans and pairs are held translated by minus their candidate
                 assert [_shift(m, x, y, n) for m, (x, y) in zip(spans, points)] == expect_spans
                 assert [_shift(m, x, y, n) for m, (x, y) in zip(pairs, points)] == expect_pairs
-                gather = _gatherer(points, n)
-                adj = _candidate_rows(points, pairs, witness, allowed, rows, n, mode, gather)
                 assert adj == expect_adj, (n, mode, witness)
+                assert gather((1 << n * n) - 1) == (1 << len(points)) - 1
+                assert seed_candidates(witness, allowed, frame, n, 3 + len(points)) is None
+                if mode == "semi-general":
+                    # without the line filter the walk keeps more candidates
+                    unfiltered = orderly_seed_graph(witness, allowed, n, "any")[0]
+                    witness_lines += len(unfiltered) > len(points)
     assert single >= 6  # one-candidate seeds were compared in most cells
+    assert witness_lines  # some sampled seed has a candidate on a witness line
 
 
 def test_max_cardinality_matches_clique_value():
