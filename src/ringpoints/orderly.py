@@ -16,8 +16,14 @@ not fit in time or memory.  The triangles themselves need no permutation
 search to be admitted: a triangle is semi-canonical iff its leading class is
 at least the image of each of its classes under the identity and every
 relabeling, a per-class table (``_class_tops``), and its second point is
-pinned to the first point of its leading class's sphere.  Circles are decided
-by the bisector masks of ``geometry``.
+pinned to the first point of its leading class's sphere.  Around each
+triangle only the sets whose every triangle keys at most the triangle itself
+are searched (orderly generation by canonical augmentation): the first three
+entries of a canonical key are the largest canonical triangle key
+(``_triangle_key``) over the set's triples, so a set holding a triple that
+keys higher leads with a larger triangle, whose search ran earlier and
+covered a copy of it.  Circles are decided by the bisector masks of
+``geometry``.
 
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
 translated on the torus by ``_shift``: adjacency rows and the candidates on a
@@ -205,6 +211,39 @@ def _class_tops(table: EdgeClassTable) -> list[int]:
     return [max([c, *(sigma[c] for sigma in table.relabelings)]) for c in range(len(table.classes))]
 
 
+def _class_lifts(table: EdgeClassTable, tops: list[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """``lifts[c]``: the identity and the relabelings that carry class c to ``tops[c]``."""
+    perms = (tuple(range(len(table.classes))), *table.relabelings)
+    return [tuple(s for s in perms if s[c] == top) for c, top in enumerate(tops)]
+
+
+def _triangle_key(
+    x: int, y: int, z: int, tops: list[int], lifts: list[tuple[tuple[int, ...], ...]], floor: int = 0
+) -> tuple[int, ...]:
+    """The canonical key of a triangle with edge classes x, y, z, in closed form.
+
+    It is the largest ``matrix_key`` over the six orderings of the triangle's
+    points and the identity and every relabeling s, i.e. the largest
+    (s(f), max(s(g), s(h)), min(s(g), s(h))) over s and the leading edge f
+    (others g, h).  Its first entry is the largest of the ``tops``, so only
+    the edges f that reach it, and only their ``lifts``, can lead.  If that
+    entry is below ``floor`` the key is cut to it alone, which still compares
+    below every key that starts at ``floor``.
+    """
+    top = max(tops[x], tops[y], tops[z])
+    if top < floor:
+        return (top,)
+    best = (top, 0, 0)
+    for f, g, h in ((x, y, z), (y, z, x), (z, x, y)):
+        if tops[f] == top:
+            for s in lifts[f]:
+                a, b = s[g], s[h]
+                key = (top, a, b) if a > b else (top, b, a)
+                if key > best:
+                    best = key
+    return best
+
+
 def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> list[PointSetRecord]:
     """All semi-canonical integral triangles over Z_n^2, each matrix once.
 
@@ -324,20 +363,24 @@ def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
 
 
 def seed_candidates(
-    witness: tuple[Point, ...], allowed: int, frame: tuple, n: int, best: int
+    witness: tuple[Point, ...], key: tuple[int, ...], allowed: int, frame: tuple, n: int, best: int
 ) -> tuple[list[Point], list[int], list[int], list[int], Callable[[int], int]] | None:
     """The candidates around a triangle, in row-major order, and their graph.
 
     A candidate is at an admissible difference (``allowed``) from each
-    witness point.  The filtered modes pass ``frame = (bit_at, line_at,
-    origin_bis)``: ``_code_layout`` tables of the bit of each difference, the
-    cyclic lines through 0 and it and, in general mode, its bisector mask with
-    0; ``"any"`` passes ``()``.  Candidate p reads them in its own frame, at
-    code(w) - code(p), and is on a line with witness points w and w' iff the
-    line entry for w - p holds w' - p.  In general mode ``spans[i]`` and
-    ``pairs[i]`` are the unions of the bisector masks of candidate i with the
-    witness points and of their pairwise overlaps, in its frame; a candidate
-    whose three masks share a centre is concyclic with the witness.
+    witness point, and no triangle it spans with two witness points has a
+    canonical key above the seed's ``key`` (``_triangle_key``).  ``frame =
+    (tops, lifts, cls_at, bit_at, line_at, origin_bis)`` holds the class
+    tables ``_class_tops`` and ``_class_lifts`` and ``_code_layout`` tables
+    of the class of each difference and, in the filtered modes, its bit, the
+    cyclic lines through 0 and it and, in general mode, its bisector mask
+    with 0; tables a mode does not filter by are empty.  Candidate p reads
+    them in its own frame, at code(w) - code(p), and is on a line with
+    witness points w and w' iff the line entry for w - p holds w' - p.  In
+    general mode ``spans[i]`` and ``pairs[i]`` are the unions of the bisector
+    masks of candidate i with the witness points and of their pairwise
+    overlaps, in its frame; a candidate whose three masks share a centre is
+    concyclic with the witness.
 
     Returns None if the candidates cannot beat ``best`` (at least 3), else
     (points, spans, pairs, adj, gather), ``gather = _gatherer(points, n)``.
@@ -350,7 +393,8 @@ def seed_candidates(
     cand = allowed
     for wx, wy in witness:
         cand &= _shift(allowed, wx, wy, n)
-    bit_at, line_at, origin_bis = frame or ((), (), ())
+    tops, lifts, cls_at, bit_at, line_at, origin_bis = frame
+    k0, k1, k2 = key
     w = 2 * n - 1
     c1, c2, c3 = (x * w + y for x, y in witness)
     points: list[Point] = []
@@ -371,6 +415,13 @@ def seed_candidates(
             if line & bit_at[c3 - cp]:
                 continue
             line |= line_at[c3 - cp]
+        a1, a2, a3 = cls_at[c1 - cp], cls_at[c2 - cp], cls_at[c3 - cp]
+        if (
+            _triangle_key(k0, a1, a2, tops, lifts, k0) > key
+            or _triangle_key(k1, a1, a3, tops, lifts, k0) > key
+            or _triangle_key(k2, a2, a3, tops, lifts, k0) > key
+        ):
+            continue
         if origin_bis:
             b1 = origin_bis[c1 - cp]
             b2 = origin_bis[c2 - cp]
@@ -411,19 +462,31 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     first two points fixed, the third points realizing one matrix lie in one
     orbit of the sign changes fixing both, which keep the position predicates.
 
+    The copy only uses candidates whose triangles with two witness points
+    key at most the seed's ``key``: the first three entries of a matrix key
+    are the key of its first three points, so those of a canonical key are
+    the largest key of a triple under any ordering and relabeling, the
+    largest canonical triangle key over the set's triples
+    (``_triangle_key``).  A set holding a triple that keys above ``key``
+    thus leads with a larger canonical triangle, whose seed ran earlier and
+    already searched a copy of the set; a triple that keys equal is kept.
+    The admissible classes are this rule for one edge, and
+    ``seed_candidates`` applies it to each triangle of a candidate with two
+    witness points.
+
     ``seed_candidates`` is the whole per-seed set-up: the candidates are the
     points at admissible distances from the witness that pass the position
-    filters with it, two adjacent when their distance is admissible and they
-    pass the filters with the witness.  The extra points form a clique,
-    bounded by the greedy coloring of ``cliquegraph._color_order``; lines
-    through two chosen points, and in general mode circles through three,
-    drop candidates as points are chosen.  Seeds run in descending key order,
-    as large leading classes admit the most candidates and give a large
-    incumbent early.  A budget expiry raises ``SearchTimeout`` carrying the
-    incumbent size and points.
+    filters and the triangle keys with it, two adjacent when their distance
+    is admissible and they pass the filters with the witness.  The extra
+    points form a clique, bounded by the greedy coloring of
+    ``cliquegraph._color_order``; lines through two chosen points, and in
+    general mode circles through three, drop candidates as points are
+    chosen.  Seeds run in descending key order, as large leading classes
+    admit the most candidates and give a large incumbent early.  A budget
+    expiry raises ``SearchTimeout`` carrying the incumbent size and points.
 
     The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
-    the candidates by one gather.  In both filtered modes one ``frame`` of
+    the candidates by one gather.  One ``frame`` of class and
     ``_code_layout`` tables decides the witness constraints in each
     candidate's own frame; its line tables are built per call from the line
     table the call reads.  In semi-general mode the points on a line
@@ -450,7 +513,8 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
         bit_at = _code_layout([1 << d for d in range(n * n)], n)
         line_at = _code_layout(rows, n)
         origin_bis = _circle_tables(n)[0] if circles else ()
-    frame = (bit_at, line_at, origin_bis) if filtered else ()
+    cls_at = _code_layout(table.class_of_diff, n)
+    frame = (tops, _class_lifts(table, tops), cls_at, bit_at, line_at, origin_bis)
 
     # admissible[t]: the differences whose class c > 0 has tops[c] <= t
     admissible = [0] * len(table.classes)
@@ -472,7 +536,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     for rec in reversed(seeds):
         check_budget()
         witness = rec.witness
-        found = seed_candidates(witness, admissible[rec.key[0]], frame, n, best)
+        found = seed_candidates(witness, rec.key, admissible[rec.key[0]], frame, n, best)
         if found is None:
             continue
         points, spans, pairs, adj, gather = found

