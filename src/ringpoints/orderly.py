@@ -16,14 +16,13 @@ not fit in time or memory.  The triangles themselves need no permutation
 search to be admitted: a triangle is semi-canonical iff its leading class is
 at least the image of each of its classes under the identity and every
 relabeling, a per-class table (``_class_tops``), and its second point is
-pinned to the first point of its leading class's sphere.  Around each
-triangle only the sets whose every triangle keys at most the triangle itself
-are searched (orderly generation by canonical augmentation): the first three
-entries of a canonical key are the largest canonical triangle key
-(``_triangle_key``) over the set's triples, so a set holding a triple that
-keys higher leads with a larger triangle, whose search ran earlier and
-covered a copy of it.  Circles are decided by the bisector masks of
-``geometry``.
+pinned to the first point of its leading class's sphere.  A triangle's
+search keeps only the sets whose every triangle keys at most its own
+(orderly generation by canonical augmentation): the first three entries of a
+canonical key are the largest canonical triangle key (``_triangle_key``)
+over the set's triples, so a set holding a triple that keys higher leads
+with a larger triangle, whose search ran earlier and covered a copy of it.
+Circles are decided by the bisector masks of ``geometry``.
 
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
 translated on the torus by ``_shift``: adjacency rows and the candidates on a
