@@ -243,6 +243,14 @@ def _triangle_key(
     return best
 
 
+def _reaching_relabelings(
+    relabelings: tuple[tuple[int, ...], ...], key: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The ``relabelings`` that carry an entry of the triangle ``key`` to its leading entry."""
+    c12, c13, c23 = key
+    return tuple(s for s in relabelings if c12 in (s[c12], s[c13], s[c23]))
+
+
 def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> list[PointSetRecord]:
     """All semi-canonical integral triangles over Z_n^2, each matrix once.
 
@@ -255,6 +263,14 @@ def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> l
     transitive on each sphere, carry every realization of a matrix there.
     Each matrix keeps the first realization met, in sphere order, before the
     collinearity filter; ``canonical`` comes from ``is_canonical``.
+
+    ``is_canonical`` is given only the relabelings that can reach the
+    leading class (``_reaching_relabelings``).  A relabeling s maps each
+    entry e to s(e) <= ``tops[e]`` <= c12, so a relabeled ordering beats the
+    key only if its first entry is c12, which needs an entry e with
+    ``tops[e] == c12`` and s among ``_class_lifts(...)[e]``, i.e. s(e) ==
+    c12.  Every other relabeling keys below c12 under every ordering and
+    cannot change the answer.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -282,7 +298,8 @@ def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> l
                 matrices.setdefault(matrix, ((0, 0), p2, p3))
         for matrix, witness in matrices.items():
             if not (filtered and is_collinear(*witness, n)):
-                out.append(_make_record(matrix, witness, table.relabelings))
+                reach = _reaching_relabelings(table.relabelings, matrix_key(matrix))
+                out.append(_make_record(matrix, witness, reach))
     return sorted(out, key=lambda rec: rec.key)
 
 
@@ -333,17 +350,21 @@ def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     i.e. the circle about z through 0.  A centre p + z' sees p and q at one
     value iff 2 z'.(q - p) = |q - p|^2 (mod n), so every bisector mask is a
     translate of one of these: bisector(p, q) == ``_shift`` of the mask for
-    q - p by p, for every n.
+    q - p by p, for every n.  The same condition reads |z' - d|^2 = |z'|^2
+    for d = q - p, so the circle about z is the sphere {e : |e|^2 = |z|^2}
+    moved by z: one pass over Z_n^2 builds the n spheres, and each entry is
+    one ``_shift``.
     """
     n2 = n * n
     base = [_point_bisector((0, 0), divmod(d, n), n) for d in range(n2)]
-    through_origin = [0] * n2
-    for d, mask in enumerate(base):
-        bit = 1 << d
-        while mask:
-            low = mask & -mask
-            through_origin[low.bit_length() - 1] |= bit
-            mask ^= low
+    spheres = [0] * n
+    for d in range(n2):
+        x, y = divmod(d, n)
+        spheres[(x * x + y * y) % n] |= 1 << d
+    through_origin = []
+    for z in range(n2):
+        x, y = divmod(z, n)
+        through_origin.append(_shift(spheres[(x * x + y * y) % n], x, y, n))
     return _code_layout(base, n), tuple(through_origin)
 
 

@@ -112,12 +112,18 @@ def test_profiled_functions_are_reached():
 
 
 def test_orderly_search_shape_is_pinned():
-    # orderly.nodes and orderly.canon_tests count these calls; a faster filter
-    # must leave the searched branches, and so both counts, exactly as they are
-    cells = ((13, "general", 12, 282), (17, "semi-general", 27, 848), (20, "general", 340, 1286))
-    for n, mode, nodes, canon_tests in cells:
+    # orderly.nodes, orderly.canon_tests and orderly.canon_steps count these
+    # calls; a faster filter must leave the searched branches, and so all three
+    # counts, exactly as they are
+    cells = (
+        (13, "general", 12, 66, 426),
+        (17, "semi-general", 27, 178, 1107),
+        (20, "general", 340, 547, 3477),
+    )
+    for n, mode, nodes, canon_tests, canon_steps in cells:
         counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))
-        assert (counts.get("descend"), counts.get("_ordering_exceeds")) == (nodes, canon_tests), (n, mode)
+        got = (counts.get("descend"), counts.get("_ordering_exceeds"), counts.get("rec"))
+        assert got == (nodes, canon_tests, canon_steps), (n, mode)
 
 
 def test_orderly_bisectors_fill_one_table():

@@ -32,6 +32,7 @@ from ringpoints.orderly import (
     _make_record,
     _ordering_exceeds,
     _point_bisector,
+    _reaching_relabelings,
     _shift,
     _triangle_key,
     edge_classes,
@@ -471,6 +472,30 @@ def test_seed_L3_matches_reference_enumeration():
             got = [(r.matrix, r.witness, r.canonical) for r in seed_L3(n, mode)]
             want = [(r.matrix, r.witness, r.canonical) for r in reference_seed_L3(n, mode)]
             assert got == want, (n, mode)
+
+
+def test_seed_L3_canonicity_needs_only_the_reaching_relabelings():
+    # past the reference enumeration: the full relabeling list decides every
+    # triangle as the reaching ones do, up to the benchmark cells and beyond
+    for n in range(21, 41):
+        table = edge_classes(n)
+        for rec in seed_L3(n, "any", table):
+            assert rec.canonical == is_canonical(rec.matrix, table.relabelings), (n, rec.matrix)
+    # a left-out relabeling maps all three entries below c12, so it keys below
+    # the triangle under every ordering; the kept ones are the lifts of the
+    # entries that reach c12, identity aside
+    for n in range(2, 31):
+        table = edge_classes(n)
+        tops = _class_tops(table)
+        lifts = _class_lifts(table, tops)
+        for rec in seed_L3(n, "any", table):
+            c12 = rec.key[0]
+            reach = _reaching_relabelings(table.relabelings, rec.key)
+            union = {s for e in rec.key if tops[e] == c12 for s in lifts[e]}
+            assert reach == tuple(s for s in table.relabelings if s in union), (n, rec.key)
+            for s in table.relabelings:
+                if s not in reach:
+                    assert all(s[e] < c12 for e in rec.key), (n, rec.key, s)
 
 
 def test_triangle_realizations_are_reflection_congruent():
