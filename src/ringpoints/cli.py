@@ -135,6 +135,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.conjecture or args.theorems):
+        raise InvalidInputError("verify needs --conjecture or --theorems")
     failures = 0
     unverified = 0
     if args.conjecture:

@@ -84,15 +84,12 @@ def is_prime(n: int) -> bool:
 
 
 def omega(p: int) -> int:
-    """The unique w < p/2 with w^2 = -1 mod p, for primes p = 1 mod 4."""
+    """The unique w < p/2 with w^2 = -1 mod p (the smaller root), for primes p = 1 mod 4."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
     if p % 4 != 1:
         raise NotApplicableError(f"omega({p}) needs p = 1 mod 4")
-    for w in range(1, (p + 1) // 2):
-        if w * w % p == p - 1:
-            return w
-    raise AssertionError(f"no square root of -1 found mod {p}")  # unreachable for p = 1 mod 4
+    return sqrt_mod(p - 1, p)
 
 
 def alpha(p: int) -> int:

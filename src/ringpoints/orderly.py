@@ -15,7 +15,7 @@ reaches the published maxima at moduli where whole levels of matrices would
 not fit in time or memory.  The triangles themselves need no permutation
 search to be admitted: a triangle is semi-canonical iff its leading class is
 at least the image of each of its classes under the identity and every
-relabeling, a per-class table (``_class_tops``), and its second point is
+relabeling (``EdgeClassTable.tops``), and its second point is
 pinned to the first point of its leading class's sphere.  A triangle's
 search keeps only the sets whose every triangle keys at most its own
 (orderly generation by canonical augmentation): the first three entries of a
@@ -41,7 +41,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import accumulate
+from math import gcd
+from operator import itemgetter, or_
 import time
 
 from .cliquegraph import BUDGET_POLL, _color_order
@@ -73,7 +75,11 @@ class EdgeClassTable:
     scalings (x, y) -> (ux, uy), which keep squared distances square because
     u^2 is one, and the coordinate swap.  They are used to coarsen the
     canonical form, which shrinks the generation lists without affecting the
-    achievable maximum cardinalities.
+    achievable maximum cardinalities; the identity is not among them.
+    ``tops[c]`` is the largest image of class c under the identity and every
+    relabeling, ``lifts[c]`` lists those that carry c there, and
+    ``admissible[t]`` masks the differences whose class c > 0 has
+    ``tops[c] <= t``.
     """
 
     n: int
@@ -82,6 +88,9 @@ class EdgeClassTable:
     spheres: tuple[tuple[Point, ...], ...]
     class_of_diff: tuple[int, ...]
     relabelings: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
+    lifts: tuple[tuple[tuple[int, ...], ...], ...]
+    admissible: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -106,8 +115,6 @@ def edge_classes(n: int) -> EdgeClassTable:
             diff_cls[x * n + y] = i
 
     relabelings: set[tuple[int, ...]] = set()
-    from math import gcd
-
     for u in range(1, n):
         if gcd(u, n) != 1:
             continue
@@ -117,9 +124,17 @@ def edge_classes(n: int) -> EdgeClassTable:
                 ua, ub = lee_weight(u * a, n), lee_weight(u * b, n)
                 perm.append(index[(ub, ua) if swap else (ua, ub)])
             relabelings.add(tuple(perm))
-    relabelings.discard(tuple(range(len(classes))))  # identity handled separately
+    identity = tuple(range(len(classes)))
+    perms = (identity, *sorted(relabelings - {identity}))
+    tops = tuple(max(s[c] for s in perms) for c in identity)
+    lifts = tuple(tuple(s for s in perms if s[c] == top) for c, top in enumerate(tops))
+    masks = [0] * len(classes)
+    for d, c in enumerate(diff_cls):
+        if c > 0:
+            masks[tops[c]] |= 1 << d
     return EdgeClassTable(
-        n, classes, index, tuple(spheres), tuple(diff_cls), tuple(sorted(relabelings))
+        n, classes, index, tuple(spheres), tuple(diff_cls), perms[1:], tops, lifts,
+        tuple(accumulate(masks, or_)),
     )
 
 
@@ -205,19 +220,8 @@ def _point_bisector(q: Point, w: Point, n: int) -> int:
     return _bisector_mask(dx, dy, c, n)
 
 
-def _class_tops(table: EdgeClassTable) -> list[int]:
-    """``tops[c]``: the largest image of class c under the identity and every relabeling."""
-    return [max([c, *(sigma[c] for sigma in table.relabelings)]) for c in range(len(table.classes))]
-
-
-def _class_lifts(table: EdgeClassTable, tops: list[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """``lifts[c]``: the identity and the relabelings that carry class c to ``tops[c]``."""
-    perms = (tuple(range(len(table.classes))), *table.relabelings)
-    return [tuple(s for s in perms if s[c] == top) for c, top in enumerate(tops)]
-
-
 def _triangle_key(
-    x: int, y: int, z: int, tops: list[int], lifts: list[tuple[tuple[int, ...], ...]], floor: int = 0
+    x: int, y: int, z: int, tops: Sequence[int], lifts: Sequence[Sequence[tuple[int, ...]]], floor: int = 0
 ) -> tuple[int, ...]:
     """The canonical key of a triangle with edge classes x, y, z, in closed form.
 
@@ -251,13 +255,13 @@ def _reaching_relabelings(
     return tuple(s for s in relabelings if c12 in (s[c12], s[c13], s[c23]))
 
 
-def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> list[PointSetRecord]:
+def seed_L3(n: int, mode: str = "any") -> list[PointSetRecord]:
     """All semi-canonical integral triangles over Z_n^2, each matrix once.
 
     Semi-canonicity of a triangle compares only its leading entry c12 with
     every entry under the identity and every relabeling, so (c12, c13, c23)
     is semi-canonical iff ``tops[c12] == c12``, ``tops[c13] <= c12`` and
-    ``tops[c23] <= c12`` (see ``_class_tops``); no permutation is searched.
+    ``tops[c23] <= c12`` (``EdgeClassTable.tops``); no permutation is searched.
     The first point sits at the origin and the second at the first point of
     the sphere of c12: translations and the sign changes fixing 0, which are
     transitive on each sphere, carry every realization of a matrix there.
@@ -268,16 +272,16 @@ def seed_L3(n: int, mode: str = "any", table: EdgeClassTable | None = None) -> l
     leading class (``_reaching_relabelings``).  A relabeling s maps each
     entry e to s(e) <= ``tops[e]`` <= c12, so a relabeled ordering beats the
     key only if its first entry is c12, which needs an entry e with
-    ``tops[e] == c12`` and s among ``_class_lifts(...)[e]``, i.e. s(e) ==
-    c12.  Every other relabeling keys below c12 under every ordering and
-    cannot change the answer.
+    ``tops[e] == c12`` and s among ``lifts[e]``, i.e. s(e) == c12.  Every
+    other relabeling keys below c12 under every ordering and cannot change
+    the answer.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
-    table = table or edge_classes(n)
+    table = edge_classes(n)
     if n < 2:
         return []
-    tops = _class_tops(table)
+    tops = table.tops
     cls_of = table.class_of_diff
     spheres = table.spheres
     filtered = mode in ("semi-general", "general")
@@ -391,8 +395,8 @@ def seed_candidates(
     witness point, and no triangle it spans with two witness points has a
     canonical key above the seed's ``key`` (``_triangle_key``).  ``frame =
     (tops, lifts, cls_at, bit_at, line_at, origin_bis)`` holds the class
-    tables ``_class_tops`` and ``_class_lifts`` and ``_code_layout`` tables
-    of the class of each difference and, in the filtered modes, its bit, the
+    order of ``edge_classes`` and ``_code_layout`` tables of the class of
+    each difference and, in the filtered modes, its bit, the
     cyclic lines through 0 and it and, in general mode, its bisector mask
     with 0; tables a mode does not filter by are empty.  Candidate p reads
     them in its own frame, at code(w) - code(p), and is on a line with
@@ -477,7 +481,8 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     ``seed_L3`` record.  The leading entry ``key[0]`` of a canonical matrix
     is its largest entry under every relabeling, so the copy only uses
     admissible classes: ``tops[c] <= key[0]``, where ``tops[c]`` is the
-    largest image of c under the identity and every relabeling.  Each
+    largest image of c under the identity and every relabeling; the table
+    holds their differences as ``admissible[key[0]]``.  Each
     record's witness stands for all realizations of its triangle: with the
     first two points fixed, the third points realizing one matrix lie in one
     orbit of the sign changes fixing both, which keep the position predicates.
@@ -523,7 +528,6 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
 
     start = time.monotonic()
     table = edge_classes(n)
-    tops = _class_tops(table)
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
@@ -534,17 +538,8 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
         line_at = _code_layout(rows, n)
         origin_bis = _circle_tables(n)[0] if circles else ()
     cls_at = _code_layout(table.class_of_diff, n)
-    frame = (tops, _class_lifts(table, tops), cls_at, bit_at, line_at, origin_bis)
-
-    # admissible[t]: the differences whose class c > 0 has tops[c] <= t
-    admissible = [0] * len(table.classes)
-    for d, c in enumerate(table.class_of_diff):
-        if c > 0:
-            admissible[tops[c]] |= 1 << d
-    for t in range(1, len(admissible)):
-        admissible[t] |= admissible[t - 1]
-
-    seeds = [rec for rec in seed_L3(n, mode, table) if rec.canonical]
+    frame = (table.tops, table.lifts, cls_at, bit_at, line_at, origin_bis)
+    seeds = [rec for rec in seed_L3(n, mode) if rec.canonical]
     best = 3 if seeds else 0
     best_witness: tuple[Point, ...] = seeds[-1].witness if seeds else ()
     nodes = 0
@@ -556,7 +551,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     for rec in reversed(seeds):
         check_budget()
         witness = rec.witness
-        found = seed_candidates(witness, rec.key, admissible[rec.key[0]], frame, n, best)
+        found = seed_candidates(witness, rec.key, table.admissible[rec.key[0]], frame, n, best)
         if found is None:
             continue
         points, spans, pairs, adj, gather = found

@@ -32,18 +32,27 @@ from .geometry import Point
 from .modring import factorize, is_prime, omega, squares
 
 
-def _lemma1_scale(n: int) -> tuple[int, int]:
-    """(k, bound) with k = prod p^ceil(r/2); bound = n * prod p^floor(r/2)."""
-    k = 1
-    cofactor = 1
+def _scales(n: int, odd: bool) -> tuple[int, int]:
+    """(prod p^ceil(r/2), prod p^floor(r/2)) over the p^r exactly dividing n,
+    over the odd p only if ``odd``."""
+    k = cofactor = 1
     for p, r in factorize(n):
-        k *= p ** ((r + 1) // 2)
-        cofactor *= p ** (r // 2)
-    return k, n * cofactor
+        if p != 2 or not odd:
+            k *= p ** ((r + 1) // 2)
+            cofactor *= p ** (r // 2)
+    return k, cofactor
+
+
+def _scaled_rows(n: int, k: int, bound: int) -> tuple[list[Point], int]:
+    """The points (u, v*k) of Z_n^2, checked to number ``bound`` and to be integral."""
+    pts = sorted({(u, v * k % n) for u in range(n) for v in range(n)})
+    assert len(pts) == bound
+    _verify_integral(pts, n)
+    return pts, bound
 
 
 def lemma1_bound(n: int) -> int:
-    return _lemma1_scale(n)[1]
+    return n * _scales(n, False)[1]
 
 
 def lemma1_points(n: int) -> tuple[list[Point], int]:
@@ -52,21 +61,13 @@ def lemma1_points(n: int) -> tuple[list[Point], int]:
     k is chosen so k^2 = 0 mod n, making every squared distance collapse to
     (u1 - u2)^2.  Pairwise integrality is re-verified before returning.
     """
-    k, bound = _lemma1_scale(n)
-    pts = sorted({(u, v * k % n) for u in range(n) for v in range(n)})
-    assert len(pts) == bound
-    _verify_integral(pts, n)
-    return pts, bound
+    return _scaled_rows(n, _scales(n, False)[0], lemma1_bound(n))
 
 
 def lemma2_bound(n: int) -> int:
     if n % 4 != 2:
         raise NotApplicableError(f"the n = 2 mod 4 construction needs n = 2 mod 4, got {n}")
-    cofactor = 1
-    for p, r in factorize(n):
-        if p != 2:
-            cofactor *= p ** (r // 2)
-    return 2 * n * cofactor
+    return 2 * n * _scales(n, True)[1]
 
 
 def lemma2_points(n: int) -> tuple[list[Point], int]:
@@ -75,15 +76,8 @@ def lemma2_points(n: int) -> tuple[list[Point], int]:
     With k the odd scale, 2k^2 = 0 mod n, so each squared distance equals
     either (u1 - u2)^2 or (u1 - u2 + k^2)^2.
     """
-    bound = lemma2_bound(n)
-    k = 1
-    for p, r in factorize(n):
-        if p != 2:
-            k *= p ** ((r + 1) // 2)
-    pts = sorted({(u, v * k % n) for u in range(n) for v in range(n)})
-    assert len(pts) == bound
-    _verify_integral(pts, n)
-    return pts, bound
+    bound = lemma2_bound(n)  # raises unless n = 2 mod 4
+    return _scaled_rows(n, _scales(n, True)[0], bound)
 
 
 def _verify_integral(pts: list[Point], n: int) -> None:

@@ -202,6 +202,13 @@ def test_verify_theorems(tmp_path, capsys, monkeypatch):
     assert "I(2,3) * I(4,3) = 128 > I(8,3) = 64" in out
 
 
+def test_verify_without_a_check_is_invalid(capsys):
+    code, out, err = run(["verify"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--conjecture or --theorems" in err
+
+
 def parse_dimacs(path):
     edges = set()
     v = e = 0

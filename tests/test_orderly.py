@@ -26,8 +26,6 @@ from ringpoints.orderly import (
     EdgeClassTable,
     PointSetRecord,
     _circle_tables,
-    _class_lifts,
-    _class_tops,
     _code_layout,
     _make_record,
     _ordering_exceeds,
@@ -239,7 +237,7 @@ def generate_levels(
     levels: dict[int, list[PointSetRecord]] = {}
     if n == 1:
         return levels, stats
-    current = seed_L3(n, mode, table)
+    current = seed_L3(n, mode)
     r = 3
     last: tuple[int, list[PointSetRecord]] | None = None
     while current:
@@ -383,7 +381,7 @@ def test_seed_L3_complete_against_brute_force():
                 to_group_canonical_from_key(k, table)
                 for k in brute_seed_classes(n, mode)
             }
-            seeded = {to_group_canonical(rec.matrix, table) for rec in seed_L3(n, mode, table)}
+            seeded = {to_group_canonical(rec.matrix, table) for rec in seed_L3(n, mode)}
             assert brute == seeded, (n, mode)
 
 
@@ -409,7 +407,7 @@ def test_class_tops_decide_triangle_semi_canonicity():
     rng = random.Random(8)
     for n in (5, 8, 9, 12, 16, 25, 27):
         table = edge_classes(n)
-        tops = _class_tops(table)
+        tops = table.tops
         nonzero = range(1, len(table.classes))
         if n <= 12:
             triples = [(a, b, c) for a in nonzero for b in nonzero for c in nonzero]
@@ -428,8 +426,7 @@ def test_triangle_key_closed_form_matches_orderings():
     # record is canonical iff its closed-form key is its own key
     for n in range(2, 21):
         table = edge_classes(n)
-        tops = _class_tops(table)
-        lifts = _class_lifts(table, tops)
+        tops, lifts = table.tops, table.lifts
         nonzero = range(1, len(table.classes))
         for x in nonzero:
             for y in range(x, len(table.classes)):
@@ -479,16 +476,15 @@ def test_seed_L3_canonicity_needs_only_the_reaching_relabelings():
     # triangle as the reaching ones do, up to the benchmark cells and beyond
     for n in range(21, 41):
         table = edge_classes(n)
-        for rec in seed_L3(n, "any", table):
+        for rec in seed_L3(n, "any"):
             assert rec.canonical == is_canonical(rec.matrix, table.relabelings), (n, rec.matrix)
     # a left-out relabeling maps all three entries below c12, so it keys below
     # the triangle under every ordering; the kept ones are the lifts of the
     # entries that reach c12, identity aside
     for n in range(2, 31):
         table = edge_classes(n)
-        tops = _class_tops(table)
-        lifts = _class_lifts(table, tops)
-        for rec in seed_L3(n, "any", table):
+        tops, lifts = table.tops, table.lifts
+        for rec in seed_L3(n, "any"):
             c12 = rec.key[0]
             reach = _reaching_relabelings(table.relabelings, rec.key)
             union = {s for e in rec.key if tops[e] == c12 for s in lifts[e]}
@@ -523,7 +519,7 @@ def test_triangle_realizations_are_reflection_congruent():
 def test_extend_level_glue_contract():
     table = edge_classes(5)
     stats = GenerationStats()
-    level4 = extend_level(seed_L3(5, "any", table), 5, "any", table, stats)
+    level4 = extend_level(seed_L3(5, "any"), 5, "any", table, stats)
     assert level4
     for rec in level4:
         w = rec.witness
@@ -539,7 +535,7 @@ def test_extend_level_completeness_n4():
     """Every integral 4-subset of Z_4^2 has an equivalent class in the generated level."""
     n = 4
     table = edge_classes(n)
-    level4 = extend_level(seed_L3(n, "any", table), n, "any", table)
+    level4 = extend_level(seed_L3(n, "any"), n, "any", table)
     generated = {to_group_canonical(rec.matrix, table) for rec in level4}
     pts = [(x, y) for x in range(n) for y in range(n)]
     brute = set()
@@ -701,8 +697,8 @@ def test_candidate_rows_match_per_edge_walk():
     single = witness_lines = triangle_drops = 0
     for n in (13, 16, 20, 25):
         table = edge_classes(n)
-        tops = _class_tops(table)
-        classes = (tops, _class_lifts(table, tops), _code_layout(table.class_of_diff, n))
+        tops = table.tops
+        classes = (tops, table.lifts, _code_layout(table.class_of_diff, n))
         bit_at = _code_layout([1 << d for d in range(n * n)], n)
         line_at = _code_layout(line_table(n).pair_rows, n)
         seeds = [rec for rec in seed_L3(n, "semi-general") if rec.canonical]
@@ -716,6 +712,7 @@ def test_candidate_rows_match_per_edge_walk():
                 allowed = sum(
                     1 << d for d, c in enumerate(table.class_of_diff) if c > 0 and tops[c] <= rec.key[0]
                 )
+                assert table.admissible[rec.key[0]] == allowed, (n, rec.key)
                 found = seed_candidates(rec.witness, rec.key, allowed, frame, n, 3)
                 if found is not None:
                     cases.append((rec.witness, rec.key, allowed, *found))
