@@ -95,14 +95,10 @@ class ResultCache:
         self.records[rec.key()] = rec
 
     def save(self) -> None:
-        merged = ResultCache(self.path) if os.path.exists(self.path) else None
-        out = dict(merged.records) if merged else {}
-        for key, rec in self.records.items():
-            old = out.get(key)
-            if old is not None and old.exact and not rec.exact:
-                continue
-            out[key] = rec
-        blob = {k: asdict(v) for k, v in sorted(out.items())}
+        merged = ResultCache(self.path)
+        for rec in self.records.values():
+            merged.put(rec)
+        blob = {k: asdict(v) for k, v in sorted(merged.records.items())}
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:

@@ -14,13 +14,7 @@ import time
 from . import __version__
 from .cache import ResultCache, ResultRecord
 from .cliquegraph import DistanceGraph, build_full, build_rooted
-from .errors import (
-    InvalidInputError,
-    NotApplicableError,
-    ResourceLimitError,
-    RingpointsError,
-    SearchTimeout,
-)
+from .errors import InvalidInputError, RingpointsError, SearchTimeout
 from .geometry import point_index
 from .orderly import max_cardinality_witness
 from .reductions import (
@@ -38,94 +32,89 @@ from .tables import TABLE1, TABLE1_COLUMNS, TABLE2, TABLE3
 MODE_NAMES = ("I", "semi-general", "general")
 
 
-def _compute_value(args) -> tuple[int, list | None]:
-    """(value, witness) for the requested mode; a search out of budget raises."""
-    if args.mode == "I":
-        return I_of(args.n, args.m, budget=args.budget), None
-    if args.m != 2:
-        raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
-    value, witness = max_cardinality_witness(args.n, args.mode, budget=args.budget)
-    return value, [list(p) for p in witness]
+def _solve(n: int, m: int, mode: str, budget: float | None) -> tuple[int, bool, list | None]:
+    """(value, exact, witness) of one cell, from the engine for ``mode``.
+
+    An expired search gives its incumbent: a proven lower bound, returned with
+    exact false and the points realizing it where the search keeps them.
+    """
+    try:
+        if mode == "I":
+            return I_of(n, m, budget=budget), True, None
+        if m != 2:
+            raise InvalidInputError("position-filtered maxima are only computed over Z_n^2")
+        value, points = max_cardinality_witness(n, mode, budget=budget)
+        return value, True, [list(p) for p in points]
+    except SearchTimeout as exc:
+        return exc.lower_bound, False, [list(p) for p in exc.witness] or None
 
 
 def cmd_value(args) -> int:
     cache = ResultCache(args.cache)
     rec = cache.get(args.n, args.m, args.mode)
-    code = 0
     if rec is None or not rec.exact:
         t0 = time.monotonic()
-        try:
-            value, witness = _compute_value(args)
-        except SearchTimeout as exc:
-            print(f"timeout: best lower bound {exc.lower_bound}", file=sys.stderr)
-            # the incumbent is a proven lower bound: reported, never cached
-            value, witness, code = exc.lower_bound, [list(p) for p in exc.witness] or None, 2
+        value, exact, witness = _solve(args.n, args.m, args.mode, args.budget)
         rec = ResultRecord(
             n=args.n,
             m=args.m,
             mode=args.mode,
             value=value,
-            exact=code == 0,
+            exact=exact,
             witness=witness,
             elapsed_ms=int((time.monotonic() - t0) * 1000),
         )
-        if rec.exact:
+        if exact:
             cache.put(rec)
             cache.save()
+        else:
+            # a lower bound is reported, never cached
+            print(f"timeout: best lower bound {value}", file=sys.stderr)
     if args.json:
         payload = rec.payload()
         payload["version"] = __version__
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(rec.value)
-    return code
+        print(rec.value if rec.exact else f">= {rec.value}")
+    return 0 if rec.exact else 2
 
 
-def _table_rows(args):
-    """Yield (label, expected (value, exact) or None, computer) per requested cell."""
+def _table_cells(args):
+    """Yield (label, expected (value, exact) or None, n, m, mode) per requested cell."""
     if args.which == 1:
         for m in range(2, args.max_m + 1):
             for n in TABLE1_COLUMNS:
-                if n > args.max_n:
-                    continue
-                yield (
-                    f"I({n},{m})",
-                    TABLE1.get((n, m)),
-                    lambda n=n, m=m: I_of(n, m, budget=args.budget),
-                )
+                if n <= args.max_n:
+                    yield f"I({n},{m})", TABLE1.get((n, m)), n, m, "I"
     else:
         table = TABLE2 if args.which == 2 else TABLE3
         mode = "semi-general" if args.which == 2 else "general"
         sym = "semi" if args.which == 2 else "general"
         for n in range(1, args.max_n + 1):
-            yield (
-                f"{sym}({n},2)",
-                table.get(n),
-                lambda n=n: max_cardinality_witness(n, mode, budget=args.budget)[0],
-            )
+            yield f"{sym}({n},2)", table.get(n), n, 2, mode
 
 
 def cmd_table(args) -> int:
     mismatches = 0
     incomplete = 0
-    for label, expected, compute in _table_rows(args):
-        try:
-            value = compute()
-            status = ""
-            if expected is None:
-                status = "(no reference)"
-            elif expected[1] and value != expected[0]:
-                status = f"MISMATCH expected {expected[0]}"
-                mismatches += 1
-            elif not expected[1]:
-                status = f"(reference is a lower bound {expected[0]})"
-                if value < expected[0]:
-                    status += " MISMATCH"
-                    mismatches += 1
-            print(f"{label} = {value} {status}".rstrip())
-        except SearchTimeout as exc:
-            print(f"{label} >= {exc.lower_bound} (budget exhausted)")
+    for label, expected, n, m, mode in _table_cells(args):
+        value, exact, _ = _solve(n, m, mode, args.budget)
+        if not exact:
+            print(f"{label} >= {value} (budget exhausted)")
             incomplete += 1
+            continue
+        status = ""
+        if expected is None:
+            status = "(no reference)"
+        elif expected[1] and value != expected[0]:
+            status = f"MISMATCH expected {expected[0]}"
+            mismatches += 1
+        elif not expected[1]:
+            status = f"(reference is a lower bound {expected[0]})"
+            if value < expected[0]:
+                status += " MISMATCH"
+                mismatches += 1
+        print(f"{label} = {value} {status}".rstrip())
     if mismatches:
         print(f"{mismatches} mismatches", file=sys.stderr)
         return 1
@@ -273,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--n", type=int, required=True)
     p_value.add_argument("--m", type=int, default=2)
     p_value.add_argument("--mode", choices=MODE_NAMES, default="I")
-    p_value.add_argument("--budget", type=float, default=None, help="seconds per search")
+    p_value.add_argument(
+        "--budget", type=float, default=None, help="seconds for the whole call (graph builds untimed)"
+    )
     p_value.add_argument("--json", action="store_true")
     p_value.add_argument("--cache", default=None, help="cache file path")
     p_value.set_defaults(func=cmd_value)
@@ -282,14 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p_table.add_argument("--max-n", type=int, default=None)
     p_table.add_argument("--max-m", type=int, default=3)
-    p_table.add_argument("--budget", type=float, default=None)
+    p_table.add_argument("--budget", type=float, default=None, help="seconds per cell")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the construction-bound and theorem checks")
     p_verify.add_argument("--conjecture", action="store_true")
     p_verify.add_argument("--theorems", action="store_true")
     p_verify.add_argument("--max-n", type=int, default=30)
-    p_verify.add_argument("--budget", type=float, default=None)
+    p_verify.add_argument(
+        "--budget", type=float, default=None, help="seconds per modulus or per computed value"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_dimacs = sub.add_parser("export-dimacs", help="write a distance graph in DIMACS format")
@@ -314,9 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         args.max_n = {1: 9, 2: 20, 3: 13}[args.which]
     try:
         return args.func(args)
-    except (InvalidInputError, NotApplicableError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SearchTimeout as exc:
         print(f"timeout: best lower bound {exc.lower_bound}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ orbit-branched search, ``_rooted_value``, and one seed, ``_rooted_seed``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -258,8 +259,10 @@ def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None
     Dispatches the closed forms (m = 1, n <= 2), splits composite n into
     coprime prime-power factors unless ``use_cartesian`` is false, reduces
     even moduli to the half-ring weight graph, and otherwise runs the rooted
-    clique search.  A budget expiry raises SearchTimeout carrying the best
-    proven lower bound.
+    clique search.  The coprime factors share one budget: each gets what the
+    earlier ones left.  Building a factor's graph is not timed, so a budgeted
+    call can overrun by its graph builds.  A budget expiry raises
+    SearchTimeout carrying the best proven lower bound.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be positive")
@@ -273,10 +276,12 @@ def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None
     if use_cartesian:
         factors = [p**r for p, r in factorize(n)]
         if len(factors) > 1:
+            deadline = None if budget is None else time.monotonic() + budget
             out = 1
             for pos, q in enumerate(factors):
+                left = None if deadline is None else max(0.0, deadline - time.monotonic())
                 try:
-                    out *= I_of(q, m, use_cartesian, budget)
+                    out *= I_of(q, m, use_cartesian, left)
                 except SearchTimeout as exc:
                     # finished factors are exact; each remaining factor q has
                     # the axis line, so I(q, m) >= q

@@ -63,6 +63,15 @@ def test_value_timeout_exit_code(tmp_path, capsys):
     assert "lower bound" in err
 
 
+def test_value_timeout_prints_a_labeled_bound(tmp_path, capsys):
+    code, out, _ = run(
+        ["value", "--n", "3", "--m", "6", "--budget", "0.05", "--cache", str(tmp_path / "c.json")],
+        capsys,
+    )
+    assert code == 2
+    assert out.startswith(">=")
+
+
 def test_value_timeout_json_carries_incumbent(tmp_path, capsys):
     # semi-general n = 50 is open after hundreds of seconds; the record is the
     # incumbent, a lower bound with its points, and is not cached
@@ -136,6 +145,24 @@ def test_cache_exact_immutable(tmp_path):
     cache.put(ResultRecord(n=9, m=2, mode="I", value=27, exact=True))
     cache.put(ResultRecord(n=9, m=2, mode="I", value=20, exact=False))
     assert cache.get(9, 2, "I").value == 27
+
+
+def test_cache_save_keeps_exact_records_on_disk(tmp_path):
+    # another cache saves an exact record after this one loaded: this cache's
+    # inexact record for the same key must not replace it, and a key only
+    # this cache holds is added
+    path = str(tmp_path / "cache.json")
+    cache = ResultCache(path)
+    other = ResultCache(path)
+    other.put(ResultRecord(n=9, m=2, mode="I", value=27, exact=True))
+    other.save()
+    cache.put(ResultRecord(n=9, m=2, mode="I", value=20, exact=False))
+    cache.put(ResultRecord(n=5, m=2, mode="I", value=5, exact=True))
+    cache.save()
+    reloaded = ResultCache(path)
+    assert reloaded.get(9, 2, "I").exact and reloaded.get(9, 2, "I").value == 27
+    assert reloaded.get(5, 2, "I").value == 5
+    assert not reloaded.corrupt
 
 
 def test_value_uses_cache(tmp_path, capsys):
@@ -266,6 +293,16 @@ def test_export_dimacs_single_vertex(tmp_path, capsys):
     assert code == 0
     v, edges = parse_dimacs(out_path)
     assert v == 1 and not edges
+
+
+def test_export_dimacs_over_the_vertex_limit(tmp_path, capsys):
+    # 363^2 = 131769 vertices, over the 131072 limit: refused before any build
+    out_path = tmp_path / "big.dimacs"
+    code, out, err = run(["export-dimacs", "--n", "363", "--m", "2", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: graph on 131769 vertices exceeds limit 131072" in err
+    assert not out_path.exists()
 
 
 def test_construct_lemma1(capsys):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -338,6 +339,26 @@ def test_I_of_timeout_bound_spans_factors():
     with pytest.raises(SearchTimeout) as exc_info:
         I_of(159, 2, budget=0.01)
     assert exc_info.value.lower_bound >= 159
+
+
+def test_I_of_factors_share_the_budget(monkeypatch):
+    # 15 = 3 * 5 under a fake clock where each factor's search takes 0.25 s:
+    # the second factor gets what the first left of the call's budget
+    now = [0.0]
+    budgets = []
+
+    def search(n, m, budget):
+        budgets.append(budget)
+        now[0] += 0.25
+        return n
+
+    monkeypatch.setattr(ringpoints.reductions, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(ringpoints.reductions, "_solve_rooted", search)
+    assert I_of(15, 2, budget=1.0) == 15
+    assert budgets == [1.0, 0.75]
+    budgets.clear()
+    assert I_of(15, 2) == 15
+    assert budgets == [None, None]
 
 
 def test_even_divisibility():
