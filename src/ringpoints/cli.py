@@ -262,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--n", type=int, required=True)
     p_value.add_argument("--m", type=int, default=2)
     p_value.add_argument("--mode", choices=MODE_NAMES, default="I")
-    p_value.add_argument(
-        "--budget", type=float, default=None, help="seconds for the whole call (graph builds untimed)"
-    )
+    p_value.add_argument("--budget", type=float, default=None, help="seconds for the whole call")
     p_value.add_argument("--json", action="store_true")
     p_value.add_argument("--cache", default=None, help="cache file path")
     p_value.set_defaults(func=cmd_value)

@@ -32,12 +32,25 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from .geometry import Point
 from .modring import squares
 
 DEFAULT_MAX_VERTICES = 1 << 17
-BUDGET_POLL = 64  # search nodes between two reads of the clock against a budget
+BUDGET_POLL = 64  # search nodes between two reads of the clock against a deadline
+
+
+def deadline_after(budget: float | None) -> float | None:
+    """The ``time.monotonic()`` instant ``budget`` seconds from now; None for no budget.
+
+    Every public call that takes a budget starts with this, so set-up counts
+    as search does.  A NaN deadline would never pass: NaN is rejected.
+    """
+    if budget is None:
+        return None
+    if not budget >= 0:
+        raise InvalidInputError(f"budget must be a non-negative number of seconds, got {budget}")
+    return time.monotonic() + budget
 
 
 @dataclass
@@ -63,8 +76,6 @@ class CliqueResult:
     size: int
     witness: list
     nodes_explored: int
-    elapsed: float
-    exact: bool = True
 
 
 def _check_budget_vertices(v: int) -> None:
@@ -139,24 +150,6 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
     return DistanceGraph(n, m, points, _cayley_adjacency(points, n, ok))
 
 
-class _BudgetExpired(Exception):
-    pass
-
-
-class _SearchState:
-    __slots__ = ("best_size", "best_clique", "nodes")
-
-    def __init__(self, size: int, clique: list[int]):
-        self.best_size = size
-        self.best_clique = clique
-        self.nodes = 0
-
-    def offer(self, clique: list[int]) -> None:
-        if len(clique) > self.best_size:
-            self.best_size = len(clique)
-            self.best_clique = clique
-
-
 def _greedy_clique(adj: list[int], v: int) -> list[int]:
     """Deterministic greedy warm start: grow from each of the best-degree vertices."""
     if v == 0:
@@ -208,30 +201,9 @@ def _color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, colors
 
 
-def _expand(adj: list[int], rstack: list[int], p: int, state: _SearchState, deadline: float | None) -> None:
-    state.nodes += 1
-    if deadline is not None and state.nodes % BUDGET_POLL == 0 and time.monotonic() > deadline:
-        raise _BudgetExpired
-    order, colors = _color_order(p, adj)
-    cur = p
-    rlen = len(rstack)
-    for i in range(len(order) - 1, -1, -1):
-        if rlen + colors[i] <= state.best_size:
-            return
-        u = order[i]
-        cur ^= 1 << u
-        sub = cur & adj[u]
-        if sub:
-            rstack.append(u)
-            _expand(adj, rstack, sub, state, deadline)
-            rstack.pop()
-        elif rlen + 1 > state.best_size:
-            state.offer(rstack + [u])
-
-
 def max_clique(
     g: DistanceGraph,
-    budget: float | None = None,
+    deadline: float | None = None,
     initial: list | None = None,
     orbits: list[list[int]] | None = None,
 ) -> CliqueResult:
@@ -243,16 +215,16 @@ def max_clique(
     level then branches on one representative per orbit, largest orbit first.
     A clique meets some first orbit O in that order, and an automorphism moves
     it onto O's representative while keeping it off the earlier orbits, so
-    each branch drops those orbits.  On budget expiry the incumbent is
-    returned with ``exact=False``.  A vertex's own bit in its adjacency row
-    is ignored: the relabelled copy clears it, so self-loops cannot stall the
-    greedy warm start.
+    each branch drops those orbits.  Past the ``deadline`` of
+    ``deadline_after``, read at each orbit and every ``BUDGET_POLL`` nodes,
+    ``SearchTimeout`` carries the incumbent's size and labels.  A vertex's
+    own bit in its adjacency row is ignored: the relabelled copy clears it,
+    so self-loops cannot stall the greedy warm start.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    start = time.monotonic()
     v = g.num_vertices
     if v == 0:
-        return CliqueResult(0, [], 0, 0.0, True)
+        return CliqueResult(0, [], 0)
 
     # relabel by descending degree for stronger greedy colorings: new row j
     # reads old bit perm[j], permuted in C by one itemgetter over the row's
@@ -271,43 +243,60 @@ def max_clique(
         for new, old in enumerate(perm):
             adj.append(int(bytes(pick(format(g.adj[old], f"0{v}b").encode())), 2) & ~(1 << new))
 
-    seed: list[int] = []
+    best: list[int] = []
     if initial:
         label_pos = {label: i for i, label in enumerate(g.labels)}
-        seed = [inv[label_pos[x]] for x in initial]
-        for i, a in enumerate(seed):
-            for b in seed[i + 1 :]:
-                if not (adj[a] >> b) & 1:
-                    raise InvalidInputError("initial clique is not pairwise adjacent")
-    greedy = _greedy_clique(adj, v)
-    if len(greedy) > len(seed):
-        seed = greedy
+        best = [inv[label_pos[x]] for x in initial if x in label_pos]
+        pairs = ((a, b) for i, a in enumerate(best) for b in best[i + 1 :])
+        if len(best) < len(initial) or not all((adj[a] >> b) & 1 for a, b in pairs):
+            raise InvalidInputError("initial clique has a label not in the graph or is not pairwise adjacent")
+    best = max(best, _greedy_clique(adj, v), key=len)  # the first on a tie
+    best_size = len(best)
+    nodes = 0
 
-    state = _SearchState(len(seed), list(seed))
-    deadline = start + budget if budget is not None else None
-    exact = True
-    try:
-        if orbits is None:
-            _expand(adj, [], (1 << v) - 1, state, deadline)
-        else:
-            remaining = (1 << v) - 1
-            for orbit in sorted(orbits, key=len, reverse=True):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise _BudgetExpired
-                members = [inv[i] for i in orbit]
-                rep = min(members)
-                sub = remaining & adj[rep]
-                if sub:
-                    _expand(adj, [rep], sub, state, deadline)
-                elif state.best_size < 1:
-                    state.offer([rep])
-                for i in members:
-                    remaining &= ~(1 << i)
-    except _BudgetExpired:
-        exact = False
+    def poll() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout("clique search hit budget", best_size, tuple(g.labels[perm[i]] for i in best))
 
-    witness = [g.labels[perm[i]] for i in state.best_clique]
-    return CliqueResult(state.best_size, witness, state.nodes, time.monotonic() - start, exact)
+    def _expand(rstack: list[int], p: int) -> None:
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes % BUDGET_POLL == 0:
+            poll()
+        order, colors = _color_order(p, adj)
+        cur = p
+        rlen = len(rstack)
+        for i in range(len(order) - 1, -1, -1):
+            if rlen + colors[i] <= best_size:
+                return
+            u = order[i]
+            cur ^= 1 << u
+            sub = cur & adj[u]
+            if sub:
+                rstack.append(u)
+                _expand(rstack, sub)
+                rstack.pop()
+            elif rlen + 1 > best_size:
+                best = rstack + [u]
+                best_size = len(best)
+
+    if orbits is None:
+        _expand([], (1 << v) - 1)
+    else:
+        remaining = (1 << v) - 1
+        for orbit in sorted(orbits, key=len, reverse=True):
+            poll()
+            members = [inv[i] for i in orbit]
+            rep = min(members)
+            sub = remaining & adj[rep]
+            if sub:
+                _expand([rep], sub)
+            elif best_size < 1:
+                best, best_size = [rep], 1
+            for i in members:
+                remaining &= ~(1 << i)
+    del _expand  # it refers to itself: free the relabelled rows now, not at the next collection
+    return CliqueResult(best_size, [g.labels[perm[i]] for i in best], nodes)
 
 
 def _grow(group: set, g, mul) -> bool:

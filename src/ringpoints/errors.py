@@ -24,10 +24,10 @@ class DegenerateError(RingpointsError):
 
 
 class SearchTimeout(RingpointsError):
-    """An exact search ran out of budget.
+    """An exact search found its deadline passed; set-up counts against the budget too.
 
-    Carries the best lower bound proven before the budget expired, so callers
-    can still report a partial result, and the points realizing it where the
+    Carries the best lower bound proven before the deadline, so callers can
+    still report a partial result, and the points realizing it where the
     search keeps them (empty otherwise).
     """
 

@@ -58,11 +58,10 @@ class LineTable:
     """Per-modulus cyclic-line structure for exact collinearity over Z_n^2.
 
     ``pair_rows[q]`` is a bitmask over point indices r such that {0, q, r} is
-    collinear; ``lines`` are the distinct cyclic lines through 0 as bitmasks.
+    collinear.
     """
 
     n: int
-    lines: tuple[int, ...]
     pair_rows: tuple[int, ...]
 
 
@@ -87,7 +86,7 @@ def line_table(n: int) -> LineTable:
             b = m & -m
             rows[b.bit_length() - 1] |= mask
             m ^= b
-    return LineTable(n, tuple(sorted(line_masks)), tuple(rows))
+    return LineTable(n, tuple(rows))
 
 
 def is_collinear(p1: Point, p2: Point, p3: Point, n: int) -> bool:
@@ -102,17 +101,6 @@ def is_collinear(p1: Point, p2: Point, p3: Point, n: int) -> bool:
     q = ((p2[0] - p1[0]) % n) * n + (p2[1] - p1[1]) % n
     r = ((p3[0] - p1[0]) % n) * n + (p3[1] - p1[1]) % n
     return (table.pair_rows[q] >> r) & 1 == 1
-
-
-def is_set_collinear(points: list[Point] | tuple[Point, ...], n: int) -> bool:
-    """True iff all points lie on one common cyclic line (any cardinality)."""
-    if len(points) <= 2:
-        return True
-    x0, y0 = points[0]
-    need = 0
-    for x, y in points[1:]:
-        need |= 1 << (((x - x0) % n) * n + (y - y0) % n)
-    return any(need & line == need for line in line_table(n).lines)
 
 
 def collinear_det(p1: Point, p2: Point, p3: Point, n: int) -> bool:

@@ -46,7 +46,7 @@ from math import gcd
 from operator import itemgetter, or_
 import time
 
-from .cliquegraph import BUDGET_POLL, _color_order
+from .cliquegraph import BUDGET_POLL, _color_order, deadline_after
 from .errors import InvalidInputError, SearchTimeout
 from .geometry import (
     DeltaVec,
@@ -472,7 +472,7 @@ def seed_candidates(
     return points, spans, pairs, adj, gather
 
 
-def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point, ...]]:
+def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum cardinality by a clique search around each canonical triangle.
 
     A canonical matrix leads with a canonical triangle, and realizations of
@@ -507,8 +507,10 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     ``cliquegraph._color_order``; lines through two chosen points, and in
     general mode circles through three, drop candidates as points are
     chosen.  Seeds run in descending key order, as large leading classes
-    admit the most candidates and give a large incumbent early.  A budget
-    expiry raises ``SearchTimeout`` carrying the incumbent size and points.
+    admit the most candidates and give a large incumbent early.  ``deadline``
+    is a ``time.monotonic()`` instant, read before each seed and every
+    ``BUDGET_POLL`` nodes; once it has passed, ``SearchTimeout`` carries the
+    incumbent size and points.
 
     The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
     the candidates by one gather.  One ``frame`` of class and
@@ -526,7 +528,6 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     """
     from .geometry import line_table
 
-    start = time.monotonic()
     table = edge_classes(n)
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
@@ -545,7 +546,7 @@ def _dfs_max(n: int, mode: str, budget: float | None) -> tuple[int, tuple[Point,
     nodes = 0
 
     def check_budget() -> None:
-        if budget is not None and time.monotonic() - start > budget:
+        if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"generation for n={n} mode={mode} hit budget", best, best_witness)
 
     for rec in reversed(seeds):
@@ -642,9 +643,10 @@ def max_cardinality_witness(
         raise InvalidInputError("modulus must be positive")
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
+    deadline = deadline_after(budget)
     if n == 1:
         return 1, ((0, 0),)
-    best, witness = _dfs_max(n, mode, budget)
+    best, witness = _dfs_max(n, mode, deadline)
     if best >= 3:
         return best, witness
     # no triangle survives the filter; two distinct points are always integral

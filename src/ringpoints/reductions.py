@@ -16,16 +16,16 @@ orbit-branched search, ``_rooted_value``, and one seed, ``_rooted_seed``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .cliquegraph import (
     DistanceGraph,
     _all_points,
     _rooted_orbits,
     build_rooted,
+    deadline_after,
     max_clique,
 )
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
@@ -165,7 +165,8 @@ def even_reduction_graph(two_n: int, m: int) -> DistanceGraph:
 
 
 def even_reduction_value(two_n: int, m: int, budget: float | None = None) -> int:
-    return _rooted_value(even_reduction_graph(two_n, m), two_n, budget)
+    deadline = deadline_after(budget)
+    return _rooted_value(even_reduction_graph(two_n, m), two_n, deadline)
 
 
 def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
@@ -180,22 +181,23 @@ def _rooted_seed(N: int, k: int, m: int) -> list[Point]:
     return [(u,) + (0,) * (m - 1) for u in range(1, k)]
 
 
-def _rooted_value(g: DistanceGraph, form_modulus: int, budget: float | None) -> int:
+def _rooted_value(g: DistanceGraph, form_modulus: int, deadline: float | None) -> int:
     """scale * (1 + maximum clique) of a graph rooted at 0, branching per orbit.
 
     ``form_modulus`` is the modulus of the quadratic form behind the graph's
     adjacency over Z_k^m (2k for the even weight graph, else k), as
     ``_rooted_orbits`` takes it.  The seed is ``_rooted_seed(form_modulus, k,
-    m)`` and scale = (form_modulus / k)^m, the preimages of each point.  On
-    budget expiry raises SearchTimeout carrying the same expression for the
+    m)`` and scale = (form_modulus / k)^m, the preimages of each point.  Past
+    ``deadline`` raises SearchTimeout carrying the same expression for the
     incumbent clique, a proven lower bound.
     """
+    scale = (form_modulus // g.n) ** g.m
     orbits = _rooted_orbits(g.labels, g.n, form_modulus)
-    res = max_clique(g, budget=budget, initial=_rooted_seed(form_modulus, g.n, g.m), orbits=orbits)
-    value = (form_modulus // g.n) ** g.m * (1 + res.size)
-    if not res.exact:
-        raise SearchTimeout(f"rooted search over Z_{g.n}^{g.m} hit budget", value)
-    return value
+    try:
+        return scale * (1 + max_clique(g, deadline, _rooted_seed(form_modulus, g.n, g.m), orbits).size)
+    except SearchTimeout as exc:
+        bound = scale * (1 + exc.lower_bound)
+        raise SearchTimeout(f"rooted search over Z_{g.n}^{g.m} hit budget", bound) from exc
 
 
 def hamming_distance(u: Point, v: Point) -> int:
@@ -208,7 +210,8 @@ def hamming_I3_value(m: int, budget: float | None = None) -> int:
     The top level branches once per Hamming weight: coordinate permutations
     and sign changes fix 0 and move any point onto any other of its weight.
     """
-    return _rooted_value(build_rooted(3, m, _hamming_table(m)), 3, budget)
+    deadline = deadline_after(budget)
+    return _rooted_value(build_rooted(3, m, _hamming_table(m)), 3, deadline)
 
 
 def _hamming_table(m: int) -> list[bool]:
@@ -249,53 +252,45 @@ def semi_general_upper(n: int) -> int:
     return min(bounds)
 
 
-def _solve_rooted(n: int, m: int, budget: float | None) -> int:
-    return _rooted_value(build_rooted(n, m), n, budget)
+def _solve_rooted(n: int, m: int, deadline: float | None) -> int:
+    return _rooted_value(build_rooted(n, m), n, deadline)
 
 
 def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None) -> int:
     """Exact maximum cardinality of an integral point set over Z_n^m.
 
-    Dispatches the closed forms (m = 1, n <= 2), splits composite n into
-    coprime prime-power factors unless ``use_cartesian`` is false, reduces
-    even moduli to the half-ring weight graph, and otherwise runs the rooted
-    clique search.  The coprime factors share one budget: each gets what the
-    earlier ones left.  Building a factor's graph is not timed, so a budgeted
-    call can overrun by its graph builds.  A budget expiry raises
-    SearchTimeout carrying the best proven lower bound.
+    Dispatches the closed forms (m = 1, n <= 2) and splits composite n into
+    coprime prime-power factors unless ``use_cartesian`` is false.  Each
+    factor (the whole n without splitting) is 2^m for 2, the half-ring weight
+    graph for other even moduli, else the rooted clique search.  ``budget``
+    becomes one deadline as the call starts, shared by every factor's graph
+    build and search; a graph build counts against it but is not interrupted.
+    Once it has passed, SearchTimeout carries the best proven lower bound.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be positive")
+    deadline = deadline_after(budget)
     if n == 1:
         return 1
     if m == 1:
         return n
-    if n == 2:
-        return 2**m
 
-    if use_cartesian:
-        factors = [p**r for p, r in factorize(n)]
-        if len(factors) > 1:
-            deadline = None if budget is None else time.monotonic() + budget
-            out = 1
-            for pos, q in enumerate(factors):
-                left = None if deadline is None else max(0.0, deadline - time.monotonic())
-                try:
-                    out *= I_of(q, m, use_cartesian, left)
-                except SearchTimeout as exc:
-                    # finished factors are exact; each remaining factor q has
-                    # the axis line, so I(q, m) >= q
-                    bound = out * exc.lower_bound
-                    for rest in factors[pos + 1 :]:
-                        bound *= rest
-                    if m == 2:
-                        bound = max(bound, conjectured_I2(n))
-                    raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
-            return out
-
-    if n % 2 == 0:
-        return even_reduction_value(n, m, budget=budget)
-    return _solve_rooted(n, m, budget)
+    factors = [p**r for p, r in factorize(n)] if use_cartesian else [n]
+    out = 1
+    for pos, q in enumerate(factors):
+        try:
+            if q % 2:
+                out *= _solve_rooted(q, m, deadline)
+            else:
+                out *= 2**m if q == 2 else _rooted_value(even_reduction_graph(q, m), q, deadline)
+        except SearchTimeout as exc:
+            # finished factors are exact; each remaining factor q has the
+            # axis line, so I(q, m) >= q
+            bound = out * exc.lower_bound * prod(factors[pos + 1 :])
+            if m == 2:
+                bound = max(bound, conjectured_I2(n))
+            raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
+    return out
 
 
 @dataclass

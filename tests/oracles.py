@@ -5,12 +5,15 @@ search.  Two other graph formulations give the same clique number and serve
 here as cross-checks: the full distance graph on all of Z_n^m, and the family
 of graphs with a fixed anchor edge class (two points fixed).  The orbits that
 search branches on are checked against orbits closed under every unit scaling
-and every rotation of the first two coordinates.  The orderly search's
+and every rotation of the first two coordinates.  Collinearity of a whole set
+is tested against the cyclic lines through 0, enumerated from their
+directions.  The orderly search's
 candidate graph around a triangle is checked against the per-edge walk that
 computes one bisector mask per tested pair and one triangle key per witness
 pair by a search over orderings and relabelings.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -25,6 +28,23 @@ from ringpoints.cliquegraph import (
 from ringpoints.geometry import delta, is_integral_delta, line_table, point_index
 from ringpoints.orderly import _point_bisector, _shift, edge_classes, matrix_key
 from ringpoints.reductions import _solve_rooted
+
+
+@lru_cache(maxsize=None)
+def _lines_through_origin(n: int) -> frozenset:
+    """The cyclic lines {t w : t in Z_n} of Z_n^2, one set of points each."""
+    return frozenset(
+        frozenset((t * wx % n, t * wy % n) for t in range(n)) for wx in range(n) for wy in range(n)
+    )
+
+
+def is_set_collinear(points, n: int) -> bool:
+    """True iff all points lie on one common cyclic line {p + t w} (any cardinality)."""
+    if len(points) <= 2:
+        return True
+    x0, y0 = points[0]
+    diffs = {((x - x0) % n, (y - y0) % n) for x, y in points}
+    return any(diffs <= line for line in _lines_through_origin(n))
 
 
 def full_value(n, m):

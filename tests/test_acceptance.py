@@ -8,7 +8,7 @@ import random
 import time
 from math import gcd
 
-from oracles import delta_value, full_value
+from oracles import delta_value, full_value, is_set_collinear
 from ringpoints.charfield import (
     cayley_menger,
     char_consistent,
@@ -192,8 +192,6 @@ def test_criterion_10_characteristic_invariance():
         for i in range(p):
             for j in range(i + 1, p):
                 assert is_integral(pts[i], pts[j], p)
-        from ringpoints.geometry import is_set_collinear
-
         assert not is_set_collinear(pts, p)
         d = dist_matrix_from_points(pts, p)
         consistent, value = char_consistent(d, p)

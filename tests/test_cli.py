@@ -53,6 +53,15 @@ def test_value_invalid_input(tmp_path, capsys):
     assert "error" in err
 
 
+def test_value_rejects_a_nan_budget(tmp_path, capsys):
+    # a NaN budget would never expire: invalid input, before any search
+    code, _, err = run(
+        ["value", "--n", "3", "--m", "6", "--budget", "nan", "--cache", str(tmp_path / "c.json")], capsys
+    )
+    assert code == 1
+    assert "budget" in err
+
+
 def test_value_timeout_exit_code(tmp_path, capsys):
     # the search for I(3, 6) takes seconds, far past the budget
     code, out, err = run(

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from ringpoints.cliquegraph import (
 )
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral, point_index
+from ringpoints.orderly import max_cardinality_witness
 from ringpoints.reductions import I_of, _hamming_table, _solve_rooted, even_reduction_graph
 
 
@@ -134,7 +136,7 @@ def test_tiny_graphs():
         g = DistanceGraph(0, 0, ["a"], [row])
         for orbits in (None, [[0]]):
             res = max_clique(g, orbits=orbits)
-            assert (res.size, res.witness, res.exact) == (1, ["a"], True)
+            assert (res.size, res.witness) == (1, ["a"])
         assert max_clique(g, initial=["a"]).size == 1
     for edge in (0, 1):
         g = DistanceGraph(0, 0, ["a", "b"], [edge << 1, edge])
@@ -233,19 +235,33 @@ def test_initial_clique_must_be_valid():
                 break
         if bad:
             break
-    with pytest.raises(InvalidInputError):
-        max_clique(g, initial=bad)
+    # a pair that is no clique, and a label the graph does not have
+    for initial in (bad, [0, 12]):
+        with pytest.raises(InvalidInputError):
+            max_clique(g, initial=initial)
 
 
 def test_budget_returns_incumbent():
     rng = random.Random(99)
     g = random_graph(rng, 120, 0.9)
-    res = max_clique(g, budget=0.01)
-    if not res.exact:
-        assert res.size >= 1
-    # a generous budget must finish this size exactly
-    res2 = max_clique(g, budget=300)
-    assert res2.exact
+    # a deadline already passed ends the search at its first poll, with the
+    # incumbent as a clique of the size it reports
+    with pytest.raises(SearchTimeout) as exc_info:
+        max_clique(g, deadline=time.monotonic() - 1)
+    exc = exc_info.value
+    idx = [g.labels.index(x) for x in exc.witness]
+    assert len(set(idx)) == len(idx) == exc.lower_bound >= 1
+    assert all((g.adj[a] >> b) & 1 for i, a in enumerate(idx) for b in idx[i + 1 :])
+    # a generous deadline finishes, at least as large
+    assert max_clique(g, deadline=time.monotonic() + 300).size >= exc.lower_bound
+
+
+def test_budget_must_be_a_duration():
+    # NaN never compares past a deadline, so it would never expire
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InvalidInputError):
+            I_of(3, 6, budget=bad)
+    assert I_of(3, 2, budget=float("inf")) == 3
 
 
 def test_build_full_examples():
@@ -343,22 +359,50 @@ def test_I_of_timeout_bound_spans_factors():
 
 def test_I_of_factors_share_the_budget(monkeypatch):
     # 15 = 3 * 5 under a fake clock where each factor's search takes 0.25 s:
-    # the second factor gets what the first left of the call's budget
+    # the call's budget becomes one deadline, and both factors get it
     now = [0.0]
-    budgets = []
+    deadlines = []
 
-    def search(n, m, budget):
-        budgets.append(budget)
+    def search(n, m, deadline):
+        deadlines.append(deadline)
         now[0] += 0.25
         return n
 
-    monkeypatch.setattr(ringpoints.reductions, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(ringpoints.cliquegraph, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(ringpoints.reductions, "_solve_rooted", search)
     assert I_of(15, 2, budget=1.0) == 15
-    assert budgets == [1.0, 0.75]
-    budgets.clear()
+    assert deadlines == [1.0, 1.0]
+    deadlines.clear()
     assert I_of(15, 2) == 15
-    assert budgets == [None, None]
+    assert deadlines == [None, None]
+
+
+def test_set_up_counts_against_the_budget(monkeypatch):
+    # under a fake clock, building the graph (clique) or the line table
+    # (orderly) takes 2 s of a 1 s budget: each call ends at its first poll,
+    # before any search node, with the bound of its seed
+    now = [0.0]
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(ringpoints.cliquegraph, "time", clock)
+    monkeypatch.setattr(ringpoints.orderly, "time", clock)
+
+    def slow(build):
+        def wrapped(*args):
+            now[0] += 2.0
+            return build(*args)
+        return wrapped
+
+    monkeypatch.setattr(ringpoints.reductions, "build_rooted", slow(build_rooted))
+    with pytest.raises(SearchTimeout) as exc_info:
+        I_of(7, 3, budget=1.0)
+    # the axis line {(u, 0, 0)} seeds I(7, 3) with 7 points; the maximum is 8
+    assert exc_info.value.lower_bound == 7
+    assert I_of(7, 3) == 8
+
+    monkeypatch.setattr(ringpoints.geometry, "line_table", slow(ringpoints.geometry.line_table))
+    with pytest.raises(SearchTimeout) as exc_info:
+        max_cardinality_witness(13, "general", budget=1.0)
+    assert exc_info.value.lower_bound == len(exc_info.value.witness) == 3
 
 
 def test_even_divisibility():
@@ -445,7 +489,6 @@ def test_orbit_branching_matches_plain_search():
     for n, m in ((5, 2), (7, 2), (9, 2), (13, 2), (15, 2), (3, 3), (5, 3), (7, 3), (3, 4)):
         g = build_rooted(n, m)
         res = max_clique(g, orbits=_rooted_orbits(g.labels, n, n))
-        assert res.exact
         assert res.size == max_clique(g).size, (n, m)
         pts = list(res.witness) + [(0,) * m]
         assert len(set(pts)) == res.size + 1

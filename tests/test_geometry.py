@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import is_set_collinear
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
     _bisector_mask,
@@ -15,7 +16,6 @@ from ringpoints.geometry import (
     is_concyclic,
     is_integral,
     is_integral_delta,
-    is_set_collinear,
 )
 from ringpoints.modring import squares
 

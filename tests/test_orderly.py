@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import orderly_seed_graph, triangle_key
+from oracles import is_set_collinear, orderly_seed_graph, triangle_key
 from ringpoints import geometry
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
@@ -17,7 +17,6 @@ from ringpoints.geometry import (
     is_collinear,
     is_concyclic,
     is_integral,
-    is_set_collinear,
     line_table,
 )
 from ringpoints.orderly import (
@@ -606,7 +605,7 @@ def test_line_definition_reproduces_table2(monkeypatch):
             sum(1 << r for r in range(n2) if ((q // n) * (r % n) - (q % n) * (r // n)) % n == 0)
             for q in range(n2)
         )
-        return LineTable(n, (), rows)
+        return LineTable(n, rows)
 
     assert TABLE2[8] == (6, True)
     assert max_cardinality(8, "semi-general") == 6

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import is_set_collinear
 from ringpoints.cliquegraph import (
     DistanceGraph,
     _all_points,
@@ -9,7 +10,7 @@ from ringpoints.cliquegraph import (
     max_clique,
 )
 from ringpoints.errors import InvalidInputError, NotApplicableError
-from ringpoints.geometry import is_collinear, is_integral, is_set_collinear
+from ringpoints.geometry import is_collinear, is_integral
 from ringpoints.modring import squares
 from ringpoints.reductions import (
     I_of,
