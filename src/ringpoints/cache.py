@@ -3,8 +3,8 @@
 One human-inspectable file maps "n,m,mode" keys to result records.  Writes
 merge with whatever is on disk and go through a temp-file rename, so
 concurrent runs cannot shred the file; exact results are never overwritten.
-Each record carries a checksum over its payload and entries failing the check
-are dropped on load.
+Each record carries a checksum over its payload; entries failing the check,
+or filed under a key other than their own, are dropped on load.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ResultCache:
             except TypeError:
                 self.corrupt.append(key)
                 continue
-            if rec.checksum != rec.compute_checksum():
+            if key != rec.key() or rec.checksum != rec.compute_checksum():  # the checksum omits the key
                 self.corrupt.append(key)
                 continue
             self.records[key] = rec

@@ -4,31 +4,36 @@ Cliques of the distance graph are exactly the integral point sets, so the
 maximum cardinality I(n, m) reduces to maximum clique.  Integrality of u, v
 depends only on u - v, so every distance graph is a Cayley graph of Z_k^m
 restricted to a vertex set: one connection table over the k^m difference
-vectors, indexed by ``point_index``, decides every pair, and a single builder
-turns (vertex list, k, table) into bit-vector adjacency, each row one slice of
-the table read by one ``itemgetter`` in C.  The graph variants differ only in
-vertex set and table: the full graph on all of Z_n^m and the graph rooted at 0
-(one point fixed by translation symmetry) use the integral table by default.
-The rooted builder also takes the table of the even-modulus weight graph and
-of the Z_3^m Hamming graph.
+vectors, indexed by ``point_index``, decides every pair.  A graph keeps its
+vertex list and that table, and builds adjacency rows only when asked, for
+the subgraph induced on a given vertex order: each row is one slice of the
+table read by one ``itemgetter`` in C (``_cayley_rows``).  The graph variants
+differ only in vertex set and table: the full graph on all of Z_n^m and the
+graph rooted at 0 (one point fixed by translation symmetry) use the integral
+table by default.  The rooted builder also takes the table of the
+even-modulus weight graph and of the Z_3^m Hamming graph.
 
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds (``_color_order``, shared with ``orderly``), vertices preordered
-by descending degree; the relabelling permutes each row's '0'/'1' string with
-one ``itemgetter``, or only clears the loops when that order is the identity.
-Adjacency rows are Python ints used as bit vectors, which keeps the inner loops
-in C.  Graphs rooted at 0 are searched with orbit branching: unit scalings,
-coordinate permutations, sign changes and the rotations (x, y) -> (ax - by,
-bx + ay) with a^2 + b^2 = 1 modulo the quadratic form's modulus fix 0 and keep
-the graph, so the top level tries one vertex per orbit of the group they
-generate, closed over generating sets of the units and of the rotations.
+by descending degree.  Adjacency rows are Python ints used as bit vectors,
+which keeps the inner loops in C.  Graphs rooted at 0 are searched with orbit
+branching: unit scalings, coordinate permutations, sign changes and the
+rotations (x, y) -> (ax - by, bx + ay) with a^2 + b^2 = 1 modulo the quadratic
+form's modulus fix 0 and keep the graph, so the top level tries one vertex
+per orbit of the group they generate, closed over generating sets of the
+units and of the rotations.  Those maps are automorphisms, so degree is
+constant on an orbit: the degree order costs one row per orbit, and each
+orbit's branch builds only the rows of its representative's neighbours.  The
+warm start grows the known construction seed instead of the whole graph.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 
@@ -38,6 +43,7 @@ from .modring import squares
 
 DEFAULT_MAX_VERTICES = 1 << 17
 BUDGET_POLL = 64  # search nodes between two reads of the clock against a deadline
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a '0'/'1' string as the bytes 0/1, for compress
 
 
 def deadline_after(budget: float | None) -> float | None:
@@ -53,14 +59,27 @@ def deadline_after(budget: float | None) -> float | None:
     return time.monotonic() + budget
 
 
-@dataclass
 class DistanceGraph:
-    """Vertex labels plus symmetric bit-vector adjacency."""
+    """Vertex labels plus symmetric bit-vector adjacency, given or built on demand.
 
-    n: int
-    m: int
-    labels: list
-    adj: list[int]
+    An explicit graph is given its rows as ``adj``.  A Cayley graph of Z_n^m
+    (``table`` given instead) keeps only its labels and its connection table
+    over the differences, and builds rows when asked: ``gatherer(order)``
+    reads the rows of the subgraph induced on a vertex order, gathered from
+    the table by ``_cayley_rows`` or permuted from ``adj`` by
+    ``_permuted_rows``.  ``adj`` itself is materialised from the table the
+    first time it is read (export and tests read it; searches do not).
+    """
+
+    def __init__(self, n: int, m: int, labels: list, adj: list[int] | None = None, table: list[bool] | None = None):
+        if (adj is None) == (table is None):
+            raise InvalidInputError("a graph is given either its rows or its connection table")
+        self.n = n
+        self.m = m
+        self.labels = labels
+        self._adj = adj
+        self._table = table
+        self._coder = None  # the Cayley gather's encoding, made on first use
 
     @property
     def num_vertices(self) -> int:
@@ -70,12 +89,38 @@ class DistanceGraph:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
+    @property
+    def adj(self) -> list[int]:
+        if self._adj is None:
+            everyone = range(self.num_vertices)
+            row = self.gatherer(everyone)
+            self._adj = [row(i) for i in everyone]
+        return self._adj
+
+    def gatherer(self, order) -> Callable[[int], int]:
+        """``row(i)``: the adjacency of vertex i among ``order``, bit j for order[j].
+
+        Bit j is set iff i ~ order[j] and i != order[j], so the rows of the
+        vertices of ``order`` are those of the subgraph it induces, in that
+        order, without loops.  Making the gatherer costs one pass over
+        ``order``; each row is then a few C calls.
+        """
+        order = list(order)
+        if not order:
+            return lambda i: 0
+        if self._table is None:
+            return _permuted_rows(self._adj, order)
+        if self._coder is None:
+            self._coder = _cayley_coder(self.labels, self.n, self._table)
+        return _cayley_rows(self._coder, order)
+
 
 @dataclass
 class CliqueResult:
     size: int
     witness: list
     nodes_explored: int
+    rows_built: int  # adjacency rows the search built or permuted, set-up included
 
 
 def _check_budget_vertices(v: int) -> None:
@@ -96,25 +141,28 @@ def _integral_diff_table(n: int, m: int) -> list[bool]:
     return [sum(c * c for c in p) % n in sq for p in _all_points(n, m)]
 
 
-def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[int]:
-    """Adjacency of the graph on ``points`` with u ~ v iff table[point_index(u - v, k)].
+def _picker(indices: list[int]) -> Callable:
+    """``itemgetter(*indices)``, returning a tuple for a single index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
 
-    Every graph here is a Cayley graph of Z_k^m restricted to a vertex set, so
-    one connection table over the differences decides every pair.  Each point
-    is encoded once as sum p_i * (2k - 1)^(m-1-i); the integer difference of
-    two encodings then indexes a table over the digit range -(k-1)..k-1 with
-    one subtraction.  The table is stored reversed as '0'/'1' bytes, so row u
-    is one slice starting at offset - c_u, read at every code c_w by a single
-    ``itemgetter`` built once per graph: a row costs a few C calls.
+
+def _cayley_coder(points: list[Point], k: int, table: list[bool]) -> tuple[bytearray, int, list[int]]:
+    """(rev, offset, codes): the encoding ``_cayley_rows`` gathers rows from.
+
+    Each point is encoded once as sum p_i * (2k - 1)^(m-1-i); the integer
+    difference of two encodings then indexes a table over the digit range
+    -(k-1)..k-1 with one subtraction.  The table is stored reversed as '0'/'1'
+    bytes, rev[offset - d] for the difference d, with no loop at d = 0.
     """
-    if len(points) < 2:
-        return [0] * len(points)  # no loops; itemgetter of one index returns no tuple
     m = len(points[0])
     base = 2 * k - 1
     residues = [0]
     for _ in range(m):
         residues = [r * k + d % k for r in residues for d in range(k - 1, -k, -1)]
-    rev = bytearray(49 if table[r] else 48 for r in residues)  # rev[offset - d]: difference d
+    rev = bytearray(49 if table[r] else 48 for r in residues)
     offset = len(rev) // 2
     rev[offset] = 48  # no loops
     codes = []
@@ -123,16 +171,54 @@ def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[in
         for c in p:
             code = code * base + c
         codes.append(code)
-    pick = itemgetter(*codes[::-1])  # int(..., 2) reads the highest bit first
-    return [int(bytes(pick(rev[offset - code :])), 2) for code in codes]
+    return rev, offset, codes
+
+
+def _cayley_rows(coder: tuple[bytearray, int, list[int]], order: list[int]) -> Callable[[int], int]:
+    """Row gatherer over the vertex order ``order`` of a Cayley graph (see ``DistanceGraph.gatherer``).
+
+    Row u is one slice of ``rev`` starting at offset - c_u, read at the codes
+    of ``order`` by a single ``itemgetter`` built once per order.
+    """
+    rev, offset, codes = coder
+    pick = _picker([codes[j] for j in reversed(order)])  # int(..., 2) reads the highest bit first
+    return lambda i: int(bytes(pick(rev[offset - codes[i] :])), 2)
+
+
+def _permuted_rows(adj: list[int], order: list[int]) -> Callable[[int], int]:
+    """Row gatherer over ``order`` of an explicit graph (see ``DistanceGraph.gatherer``).
+
+    Row i is ``adj[i]`` with bit j moved to the position of j in ``order``, by
+    one ``itemgetter`` over the row's '0'/'1' string, whose character -1 - j
+    is bit j; the identity order only clears the loop.
+    """
+    v = len(adj)
+    if order == list(range(v)):
+        return lambda i: adj[i] & ~(1 << i)
+    pick = _picker([-1 - j for j in reversed(order)])
+    pos = {j: new for new, j in enumerate(order)}
+
+    def row(i: int) -> int:
+        r = int(bytes(pick(format(adj[i], f"0{v}b").encode())), 2)
+        return r & ~(1 << pos[i]) if i in pos else r
+
+    return row
+
+
+def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[int]:
+    """Adjacency of the graph on ``points`` with u ~ v iff table[point_index(u - v, k)].
+
+    Every graph here is a Cayley graph of Z_k^m restricted to a vertex set, so
+    one connection table over the differences decides every pair: all rows
+    at once, by the gather searches read row by row.
+    """
+    return DistanceGraph(k, len(points[0]) if points else 0, points, table=table).adj
 
 
 def build_full(n: int, m: int) -> DistanceGraph:
     """Graph on all points of Z_n^m, edges between integral-distance pairs."""
     _check_budget_vertices(n**m)
-    points = _all_points(n, m)
-    ok = _integral_diff_table(n, m)
-    return DistanceGraph(n, m, points, _cayley_adjacency(points, n, ok))
+    return DistanceGraph(n, m, _all_points(n, m), table=_integral_diff_table(n, m))
 
 
 def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGraph:
@@ -141,41 +227,70 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
     ``table`` is the connection table over the differences (indexed by
     ``point_index``), by default integrality.  By translation symmetry 0 can
     be assumed to belong to a maximum clique of the full Cayley graph, so its
-    clique number is 1 + max clique of this graph.
+    clique number is 1 + max clique of this graph.  Only the vertex list is
+    built here; rows are built when a search or ``adj`` reads them.
     """
     _check_budget_vertices(n**m)
     ok = _integral_diff_table(n, m) if table is None else table
     zero = (0,) * m
     points = [p for p, good in zip(_all_points(n, m), ok) if good and p != zero]
-    return DistanceGraph(n, m, points, _cayley_adjacency(points, n, ok))
+    return DistanceGraph(n, m, points, table=ok)
 
 
-def _greedy_clique(adj: list[int], v: int) -> list[int]:
-    """Deterministic greedy warm start: grow from each of the best-degree vertices."""
-    if v == 0:
-        return []
+def _greedy_clique(adj, v: int, seed: list[int] | None = None) -> list[int]:
+    """Deterministic greedy warm start: a maximal clique, grown by degree into the candidates.
+
+    ``adj`` is indexable by vertex: a list of rows, or rows built when first
+    read; a vertex's own bit is ignored.  With a ``seed`` clique the clique
+    grows from the seed, reading only the rows of the seed and of its common
+    neighbours.  Without one it grows from each of the 8 best-degree vertices
+    and keeps the largest, which reads every row.  ``max_clique`` passes its
+    verified ``initial`` clique as the seed, so the incumbent is never below
+    the known clique, and a seed that is already maximal costs only its own
+    rows.
+    """
+    if seed:
+        cand = (1 << v) - 1
+        for s in seed:
+            cand &= adj[s] & ~(1 << s)
+        return _grow_clique(adj, list(seed), cand)
     degs = [adj[i].bit_count() for i in range(v)]
-    starts = sorted(range(v), key=lambda i: -degs[i])[:8]
     best: list[int] = []
-    for s in starts:
-        clique = [s]
-        cand = adj[s] & ~(1 << s)
-        while cand:
-            # highest-degree candidate
-            bestv, bestd = -1, -1
-            q = cand
-            while q:
-                b = q & -q
-                u = b.bit_length() - 1
-                q ^= b
-                d = (cand & adj[u]).bit_count()
-                if d > bestd:
-                    bestv, bestd = u, d
-            clique.append(bestv)
-            cand &= adj[bestv] & ~(1 << bestv)  # a self-loop must not keep bestv
+    for s in sorted(range(v), key=lambda i: -degs[i])[:8]:
+        clique = _grow_clique(adj, [s], adj[s] & ~(1 << s))
         if len(clique) > len(best):
             best = clique
     return best
+
+
+def _grow_clique(adj, clique: list[int], cand: int) -> list[int]:
+    """Extend ``clique`` by the candidate with most candidate neighbours until none is left."""
+    while cand:
+        bestv, bestd = -1, -1
+        q = cand
+        while q:
+            b = q & -q
+            u = b.bit_length() - 1
+            q ^= b
+            d = (cand & adj[u]).bit_count()
+            if d > bestd:
+                bestv, bestd = u, d
+        clique.append(bestv)
+        cand &= adj[bestv] & ~(1 << bestv)  # a self-loop must not keep bestv
+    return clique
+
+
+class _RowCache(dict):
+    """``self[j]`` is ``gather(order[j])``, built when first read."""
+
+    def __init__(self, gather: Callable[[int], int], order: list[int]):
+        super().__init__()
+        self.gather = gather
+        self.order = order
+
+    def __missing__(self, j: int) -> int:
+        row = self[j] = self.gather(self.order[j])
+        return row
 
 
 def _color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
@@ -209,54 +324,70 @@ def max_clique(
 ) -> CliqueResult:
     """Exact maximum clique of the graph.
 
-    ``initial`` may carry a known clique (as vertex labels) to seed the
-    incumbent; it is verified before use.  ``orbits`` may partition the vertex
-    indices into the orbits of a group of automorphisms of the graph; the top
-    level then branches on one representative per orbit, largest orbit first.
-    A clique meets some first orbit O in that order, and an automorphism moves
-    it onto O's representative while keeping it off the earlier orbits, so
-    each branch drops those orbits.  Past the ``deadline`` of
-    ``deadline_after``, read at each orbit and every ``BUDGET_POLL`` nodes,
-    ``SearchTimeout`` carries the incumbent's size and labels.  A vertex's
-    own bit in its adjacency row is ignored: the relabelled copy clears it,
-    so self-loops cannot stall the greedy warm start.
+    Vertices are searched in descending degree order ``perm`` (ties by
+    index), which makes the greedy colorings stronger.  ``initial`` may carry
+    a known clique (as vertex labels); it is verified, then grown by
+    ``_greedy_clique`` into the first incumbent.  ``orbits`` may partition the
+    vertex indices into the orbits of a group of automorphisms of the graph;
+    the top level then branches on one representative per orbit, largest
+    orbit first.  A clique meets some first orbit O in that order, and an
+    automorphism moves it onto O's representative while keeping it off the
+    earlier orbits, so each branch drops those orbits.
+
+    The search builds only the rows it reads.  An automorphism keeps degrees,
+    so degree is constant on an orbit and one row per orbit gives every
+    vertex's degree.  Each orbit's branch searches the subgraph induced on
+    its representative's neighbours among the orbits not yet dropped, built
+    after the orbit's poll in ``perm`` order; the relative order of its
+    vertices is the one the whole relabelled graph gives them, so the
+    colorings and every branch are those of a search over all rows.  Without
+    ``orbits`` every row is built, in ``perm`` order.  ``rows_built`` counts
+    the rows built (or permuted, for an explicit graph) for the call.
+
+    Past the ``deadline`` of ``deadline_after``, read at each orbit and every
+    ``BUDGET_POLL`` nodes, ``SearchTimeout`` carries the incumbent's size and
+    labels.  A vertex's own bit in its adjacency row is ignored.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     v = g.num_vertices
     if v == 0:
-        return CliqueResult(0, [], 0)
+        return CliqueResult(0, [], 0, 0)
 
-    # relabel by descending degree for stronger greedy colorings: new row j
-    # reads old bit perm[j], permuted in C by one itemgetter over the row's
-    # '0'/'1' string, whose character -1 - i is bit i; an identity order only
-    # clears the loops.  Plain loops keep the relabel in max_clique's own time.
-    perm = sorted(range(v), key=lambda i: (-g.adj[i].bit_count(), i))
+    everyone = range(v)
+    natural = g.gatherer(everyone)
+    if orbits is None:
+        degs = [natural(i).bit_count() for i in everyone]
+        rows_built = v
+    else:
+        degs = [0] * v
+        for orbit in orbits:
+            d = natural(min(orbit)).bit_count()
+            for i in orbit:
+                degs[i] = d
+        rows_built = len(orbits)
+    perm = sorted(everyone, key=lambda i: (-degs[i], i))
     inv = [0] * v
     for new, old in enumerate(perm):
         inv[old] = new
-    adj = []
-    if perm == list(range(v)):  # also every one-vertex graph
-        for new, row in enumerate(g.adj):
-            adj.append(row & ~(1 << new))
-    else:  # at least two vertices, so itemgetter returns a tuple
-        pick = itemgetter(*map((-1).__sub__, reversed(perm)))
-        for new, old in enumerate(perm):
-            adj.append(int(bytes(pick(format(g.adj[old], f"0{v}b").encode())), 2) & ~(1 << new))
+    row = _RowCache(g.gatherer(perm), perm)  # row[j]: perm[j]'s row, bit k for perm[k]
 
-    best: list[int] = []
+    seed: list[int] = []
     if initial:
         label_pos = {label: i for i, label in enumerate(g.labels)}
-        best = [inv[label_pos[x]] for x in initial if x in label_pos]
-        pairs = ((a, b) for i, a in enumerate(best) for b in best[i + 1 :])
-        if len(best) < len(initial) or not all((adj[a] >> b) & 1 for a, b in pairs):
+        seed = [inv[label_pos[x]] for x in initial if x in label_pos]
+        pairs = ((a, b) for i, a in enumerate(seed) for b in seed[i + 1 :])
+        if len(seed) < len(initial) or not all((row[a] >> b) & 1 for a, b in pairs):
             raise InvalidInputError("initial clique has a label not in the graph or is not pairwise adjacent")
-    best = max(best, _greedy_clique(adj, v), key=len)  # the first on a tie
+    # the incumbent and the search stack hold vertex indices of g
+    best = [perm[j] for j in _greedy_clique(row, v, seed)]
     best_size = len(best)
     nodes = 0
+    adj: list[int] = []  # rows of the subgraph being searched, bit k for names[k]
+    names: list[int] = perm
 
     def poll() -> None:
         if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("clique search hit budget", best_size, tuple(g.labels[perm[i]] for i in best))
+            raise SearchTimeout("clique search hit budget", best_size, tuple(g.labels[i] for i in best))
 
     def _expand(rstack: list[int], p: int) -> None:
         nonlocal best, best_size, nodes
@@ -273,14 +404,15 @@ def max_clique(
             cur ^= 1 << u
             sub = cur & adj[u]
             if sub:
-                rstack.append(u)
+                rstack.append(names[u])
                 _expand(rstack, sub)
                 rstack.pop()
             elif rlen + 1 > best_size:
-                best = rstack + [u]
+                best = rstack + [names[u]]
                 best_size = len(best)
 
     if orbits is None:
+        adj = [row[j] for j in everyone]
         _expand([], (1 << v) - 1)
     else:
         remaining = (1 << v) - 1
@@ -288,15 +420,20 @@ def max_clique(
             poll()
             members = [inv[i] for i in orbit]
             rep = min(members)
-            sub = remaining & adj[rep]
+            sub = remaining & row[rep]
             if sub:
-                _expand([rep], sub)
+                # the neighbours left, in perm order: bit j of sub is perm[j]
+                names = list(compress(perm, format(sub, f"0{v}b").encode()[::-1].translate(_BIT_BYTES)))
+                gather = g.gatherer(names)
+                adj = [gather(i) for i in names]
+                rows_built += len(names)
+                _expand([perm[rep]], (1 << len(names)) - 1)
             elif best_size < 1:
-                best, best_size = [rep], 1
+                best, best_size = [perm[rep]], 1
             for i in members:
                 remaining &= ~(1 << i)
-    del _expand  # it refers to itself: free the relabelled rows now, not at the next collection
-    return CliqueResult(best_size, [g.labels[perm[i]] for i in best], nodes)
+    del _expand  # it refers to itself: free the searched rows now, not at the next collection
+    return CliqueResult(best_size, [g.labels[i] for i in best], nodes, rows_built + len(row))
 
 
 def _grow(group: set, g, mul) -> bool:

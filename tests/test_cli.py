@@ -137,6 +137,25 @@ def test_cache_detects_corruption(tmp_path):
     assert reloaded.corrupt == ["9,2,I"]
 
 
+def test_cache_detects_a_record_under_another_key(tmp_path, capsys):
+    # the checksum covers the record, not the key it is filed under: a sound
+    # I(7, 2) record moved to the key of I(5, 2) must not answer for it
+    path = str(tmp_path / "cache.json")
+    cache = ResultCache(path)
+    cache.put(ResultRecord(n=7, m=2, mode="I", value=7, exact=True))
+    cache.save()
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["5,2,I"] = raw.pop("7,2,I")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    reloaded = ResultCache(path)
+    assert reloaded.get(5, 2, "I") is None
+    assert reloaded.corrupt == ["5,2,I"]
+    code, out, _ = run(["value", "--n", "5", "--m", "2", "--cache", path], capsys)
+    assert code == 0 and out.strip() == "5"
+
+
 def test_cache_file_not_an_object(tmp_path, capsys):
     # valid JSON whose top level is not an object reads as an unreadable file:
     # the value is computed and the save rewrites the file

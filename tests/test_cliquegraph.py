@@ -25,7 +25,14 @@ from ringpoints.cliquegraph import (
 from ringpoints.errors import InvalidInputError, ResourceLimitError, SearchTimeout
 from ringpoints.geometry import delta, is_integral, point_index
 from ringpoints.orderly import max_cardinality_witness
-from ringpoints.reductions import I_of, _hamming_table, _solve_rooted, even_reduction_graph
+from ringpoints.reductions import (
+    I_of,
+    _hamming_table,
+    _rooted_seed,
+    _solve_rooted,
+    even_reduction_graph,
+    verify_conjecture,
+)
 
 
 def complete_graph(v):
@@ -166,6 +173,94 @@ def test_greedy_clique_ends_on_self_loops():
     assert _greedy_clique([0b110, 0b001, 0b001], 3) == [0, 1]
 
 
+def _is_clique(adj, idx):
+    return all((adj[a] >> b) & 1 for i, a in enumerate(idx) for b in idx[i + 1 :])
+
+
+def test_greedy_clique_grows_the_seed():
+    # a seed clique grows into a maximal clique that starts with the seed,
+    # reading only the rows of the seed and of its common neighbours
+    rng = random.Random(2024)
+    for _ in range(200):
+        v = rng.randint(1, 40)
+        adj = random_graph(rng, v, rng.uniform(0.2, 0.9)).adj
+        seed, cand = [], (1 << v) - 1
+        for _ in range(rng.randint(1, 4)):
+            if not cand:
+                break
+            u = rng.choice([i for i in range(v) if (cand >> i) & 1])
+            seed.append(u)
+            cand &= adj[u]
+        reads = set()
+
+        class Recording(dict):
+            def __missing__(self, i):
+                reads.add(i)
+                return adj[i]
+
+        clique = _greedy_clique(Recording(), v, list(seed))
+        assert clique[: len(seed)] == seed
+        assert len(set(clique)) == len(clique) and _is_clique(adj, clique)
+        common = (1 << v) - 1
+        for u in clique:
+            common &= adj[u]
+        assert common == 0, "some vertex extends the clique: not maximal"
+        allowed = (1 << v) - 1
+        for u in seed:
+            allowed &= adj[u]
+        assert all(i in seed or (allowed >> i) & 1 for i in reads)
+
+
+def _random_rooted_graph(rng):
+    """(graph, the same graph with explicit rows, form modulus) of a random rooted table."""
+    kind = rng.choice(("integral", "even", "hamming"))
+    if kind == "integral":
+        n, m = rng.choice([(n, 2) for n in range(2, 18)] + [(n, 3) for n in range(2, 7)] + [(3, 4), (4, 4)])
+        build, q = lambda: build_rooted(n, m), n
+    elif kind == "even":
+        two_n, m = rng.choice([(t, 2) for t in range(4, 34, 2)] + [(t, 3) for t in range(4, 14, 2)] + [(4, 4)])
+        build, q = lambda: even_reduction_graph(two_n, m), two_n
+    else:
+        m = rng.randint(1, 5)
+        build, q = lambda: build_rooted(3, m, _hamming_table(m)), 3
+    g, fresh = build(), build()
+    return g, DistanceGraph(fresh.n, fresh.m, fresh.labels, fresh.adj), q
+
+
+def test_rows_on_demand_match_explicit_rows():
+    # a rooted graph whose rows are built on demand from its table searches
+    # exactly as the same graph given its rows: same size, same nodes, same
+    # witness, with or without orbits and a seed
+    rng = random.Random(31337)
+    for trial in range(100):
+        g, explicit, q = _random_rooted_graph(rng)
+        orbits = _rooted_orbits(g.labels, g.n, q) if rng.random() < 0.75 else None
+        initial = _rooted_seed(q, g.n, g.m) if rng.random() < 0.75 else None
+        got = max_clique(g, initial=initial, orbits=orbits)
+        want = max_clique(explicit, initial=initial, orbits=orbits)
+        assert (got.size, got.nodes_explored, got.witness) == (want.size, want.nodes_explored, want.witness), trial
+        idx = [g.labels.index(x) for x in got.witness]
+        assert len(set(idx)) == got.size and _is_clique(explicit.adj, idx)
+        assert g.adj == explicit.adj  # materialised on read, equal to the rows given
+
+
+def test_sweep_builds_fewer_rows_than_vertices(monkeypatch):
+    # conjecture-sweep's verify_conjecture(47): each top-level orbit builds
+    # the rows of its representative's neighbours only
+    searched = []
+
+    def recording(g, *args):
+        res = max_clique(g, *args)
+        searched.append((g.num_vertices, res.rows_built))
+        return res
+
+    monkeypatch.setattr(ringpoints.reductions, "max_clique", recording)
+    assert verify_conjecture(47).all_tight
+    assert len(searched) == 60
+    assert sum(rows for _, rows in searched) == 5410
+    assert sum(rows for _, rows in searched) < sum(v for v, _ in searched) == 7567
+
+
 def test_one_vertex_rooted_graphs():
     # a rooted graph over Z_k^m holds every axis point c * e_i, c != 0 (its
     # squared norm c^2 is a square), so only m = 1, k = 2 leaves one vertex:
@@ -273,6 +368,10 @@ def test_build_full_examples():
     assert max_clique(g).size == 3
     g = build_full(1, 3)
     assert g.num_vertices == 1 and g.num_edges == 0
+    # a graph is given its rows or its connection table, exactly one of them
+    for rows, table in ((None, None), ([0], [True])):
+        with pytest.raises(InvalidInputError):
+            DistanceGraph(1, 1, [(0,)], rows, table)
 
 
 def test_build_full_budget():
