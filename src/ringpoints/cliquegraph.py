@@ -24,7 +24,7 @@ per orbit of the group they generate, closed over generating sets of the
 units and of the rotations.  Those maps are automorphisms, so degree is
 constant on an orbit: the degree order costs one row per orbit, and each
 orbit's branch builds only the rows of its representative's neighbours.  The
-warm start grows the known construction seed instead of the whole graph.
+warm start grows the known construction seed, reading only the rows it touches.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class CliqueResult:
     size: int
     witness: list
     nodes_explored: int
-    rows_built: int  # adjacency rows the search built or permuted, set-up included
+    rows_built: int = 0  # adjacency rows the search built or permuted, set-up included
 
 
 def _check_budget_vertices(v: int) -> None:
@@ -205,16 +205,6 @@ def _permuted_rows(adj: list[int], order: list[int]) -> Callable[[int], int]:
     return row
 
 
-def _cayley_adjacency(points: list[Point], k: int, table: list[bool]) -> list[int]:
-    """Adjacency of the graph on ``points`` with u ~ v iff table[point_index(u - v, k)].
-
-    Every graph here is a Cayley graph of Z_k^m restricted to a vertex set, so
-    one connection table over the differences decides every pair: all rows
-    at once, by the gather searches read row by row.
-    """
-    return DistanceGraph(k, len(points[0]) if points else 0, points, table=table).adj
-
-
 def build_full(n: int, m: int) -> DistanceGraph:
     """Graph on all points of Z_n^m, edges between integral-distance pairs."""
     _check_budget_vertices(n**m)
@@ -238,29 +228,21 @@ def build_rooted(n: int, m: int, table: list[bool] | None = None) -> DistanceGra
 
 
 def _greedy_clique(adj, v: int, seed: list[int] | None = None) -> list[int]:
-    """Deterministic greedy warm start: a maximal clique, grown by degree into the candidates.
+    """Deterministic greedy warm start: the ``seed`` clique grown into a maximal one.
 
     ``adj`` is indexable by vertex: a list of rows, or rows built when first
-    read; a vertex's own bit is ignored.  With a ``seed`` clique the clique
-    grows from the seed, reading only the rows of the seed and of its common
-    neighbours.  Without one it grows from each of the 8 best-degree vertices
-    and keeps the largest, which reads every row.  ``max_clique`` passes its
-    verified ``initial`` clique as the seed, so the incumbent is never below
-    the known clique, and a seed that is already maximal costs only its own
-    rows.
+    read; a vertex's own bit is ignored.  Only the rows of the seed and of its
+    common neighbours are read.  ``max_clique`` passes its verified
+    ``initial`` clique as the seed, so the incumbent is never below the known
+    clique, and a seed that is already maximal costs only its own rows.  The
+    default seed is vertex 0, which is a vertex of highest degree in the
+    degree order ``max_clique`` searches.
     """
-    if seed:
-        cand = (1 << v) - 1
-        for s in seed:
-            cand &= adj[s] & ~(1 << s)
-        return _grow_clique(adj, list(seed), cand)
-    degs = [adj[i].bit_count() for i in range(v)]
-    best: list[int] = []
-    for s in sorted(range(v), key=lambda i: -degs[i])[:8]:
-        clique = _grow_clique(adj, [s], adj[s] & ~(1 << s))
-        if len(clique) > len(best):
-            best = clique
-    return best
+    clique = list(seed) if seed else [0]
+    cand = (1 << v) - 1
+    for s in clique:
+        cand &= adj[s] & ~(1 << s)
+    return _grow_clique(adj, clique, cand)
 
 
 def _grow_clique(adj, clique: list[int], cand: int) -> list[int]:
@@ -327,7 +309,8 @@ def max_clique(
     Vertices are searched in descending degree order ``perm`` (ties by
     index), which makes the greedy colorings stronger.  ``initial`` may carry
     a known clique (as vertex labels); it is verified, then grown by
-    ``_greedy_clique`` into the first incumbent.  ``orbits`` may partition the
+    ``_greedy_clique`` into the first incumbent (without one, the first
+    vertex of ``perm`` is grown).  ``orbits`` may partition the
     vertex indices into the orbits of a group of automorphisms of the graph;
     the top level then branches on one representative per orbit, largest
     orbit first.  A clique meets some first orbit O in that order, and an

@@ -20,7 +20,6 @@ from math import gcd
 from ringpoints.cliquegraph import (
     DistanceGraph,
     _all_points,
-    _cayley_adjacency,
     _integral_diff_table,
     build_full,
     max_clique,
@@ -92,8 +91,7 @@ def build_delta_family(n: int, m: int) -> list[tuple[tuple[int, ...], int, Dista
     family = []
     for i, e in enumerate(classes):
         verts = common[e]
-        adj = _cayley_adjacency(verts, n, [r >= i for r in rank])
-        family.append((e, i, DistanceGraph(n, m, verts, adj)))
+        family.append((e, i, DistanceGraph(n, m, verts, table=[r >= i for r in rank])))
     return family
 
 

@@ -16,7 +16,6 @@ from ringpoints.cliquegraph import (
     build_rooted,
     max_clique,
     _all_points,
-    _cayley_adjacency,
     _color_order,
     _greedy_clique,
     _integral_diff_table,
@@ -316,7 +315,7 @@ def test_cayley_adjacency_matches_pairwise_oracle():
             vertex_lists.append(sorted(rng.sample(points, cap)))
             for table in tables:
                 for verts in vertex_lists:
-                    assert _cayley_adjacency(verts, k, table) == pairwise_adjacency(verts, k, table), (k, m, verts)
+                    assert DistanceGraph(k, m, verts, table=table).adj == pairwise_adjacency(verts, k, table), (k, m, verts)
 
 
 def test_initial_clique_must_be_valid():

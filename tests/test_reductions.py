@@ -4,7 +4,6 @@ from oracles import is_set_collinear
 from ringpoints.cliquegraph import (
     DistanceGraph,
     _all_points,
-    _cayley_adjacency,
     _integral_diff_table,
     _rooted_orbits,
     max_clique,
@@ -154,7 +153,7 @@ def hamming_graph(m):
     and the squares mod 3 are {0, 1}; the maximum clique equals I(3, m).
     """
     points = _all_points(3, m)
-    return DistanceGraph(3, m, points, _cayley_adjacency(points, 3, _hamming_table(m)))
+    return DistanceGraph(3, m, points, table=_hamming_table(m))
 
 
 def test_hamming_graph():
@@ -193,8 +192,7 @@ def test_hamming_weight_orbits():
         weights = [{hamming_distance(points[i], zero) for i in orbit} for orbit in orbits]
         assert all(len(w) == 1 for w in weights)
         assert len(weights) == len({min(w) for w in weights})
-        adj = _cayley_adjacency(points, 3, _hamming_table(m))
-        rooted = DistanceGraph(3, m, points, adj)
+        rooted = DistanceGraph(3, m, points, table=_hamming_table(m))
         assert hamming_I3_value(m) == 1 + max_clique(rooted).size, m
 
 
