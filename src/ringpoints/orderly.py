@@ -20,20 +20,16 @@ pinned to the first point of its leading class's sphere.  A triangle's
 search keeps only the sets whose every triangle keys at most its own
 (orderly generation by canonical augmentation): the first three entries of a
 canonical key are the largest canonical triangle key (``_triangle_key``)
-over the set's triples, so a set holding a triple that keys higher leads
-with a larger triangle, whose search ran earlier and covered a copy of it.
-Circles are decided by the bisector masks of ``geometry``.
+over the set's triples.  Only one triangle per orbit of the whole symmetry
+group runs: one that a rotation (x, y) -> (ax - by, bx + ay), a^2 + b^2 = 1,
+carries to a larger key is dropped (``_leads_its_orbit``), and some image of
+every set is found from the triangle keying highest over all its images.
 
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
-translated on the torus by ``_shift``: adjacency rows and the candidates on a
-line through two of them are translated masks, read at the candidates by one
-C gather, not scans of all n^2 points.  Each candidate is tested in its own
-frame, translated by minus the candidate: ``seed_candidates`` decides its
-lines with the witness points there, once per seed, and it keeps its circle
-state there, so every bisector mask it needs is one entry of a table built
-once per modulus (``_circle_tables``); in general mode its lines through the
-chosen points stay in that frame too.  The search is bounded by the greedy
-coloring of ``cliquegraph._color_order``.
+translated on the torus by ``_shift`` and read at the candidates by one C
+gather.  Each candidate is tested in its own frame, translated by minus the
+candidate, so every bisector mask it needs is one entry of a table built
+once per modulus (``_circle_tables``).
 """
 
 from __future__ import annotations
@@ -70,12 +66,11 @@ class EdgeClassTable:
     ``class_of_diff`` maps the row-major index x*n + y of a difference vector
     to its class, -1 for non-integral differences.
 
-    ``relabelings`` are the permutations of the classes induced by the extra
-    isometries of Z_n^2 beyond translation and componentwise negation: unit
-    scalings (x, y) -> (ux, uy), which keep squared distances square because
-    u^2 is one, and the coordinate swap.  They are used to coarsen the
-    canonical form, which shrinks the generation lists without affecting the
-    achievable maximum cardinalities; the identity is not among them.
+    ``relabelings`` are the permutations of the classes other than the
+    identity that the unit scalings (x, y) -> (ux, uy), which multiply
+    squared distances by the square u^2, and the coordinate swap induce; they
+    coarsen the canonical form.  Rotations do not act on the classes and are
+    used by ``_leads_its_orbit`` instead.
     ``tops[c]`` is the largest image of class c under the identity and every
     relabeling, ``lifts[c]`` lists those that carry c there, and
     ``admissible[t]`` masks the differences whose class c > 0 has
@@ -253,6 +248,40 @@ def _reaching_relabelings(
     """The ``relabelings`` that carry an entry of the triangle ``key`` to its leading entry."""
     c12, c13, c23 = key
     return tuple(s for s in relabelings if c12 in (s[c12], s[c13], s[c23]))
+
+
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> tuple[tuple[int, int], ...]:
+    """The rotations (x, y) -> (ax - by, bx + ay), a^2 + b^2 = 1, of Z_n^2:
+    one per coset of those the relabelings and sign changes hold, (a, 0) and
+    (0, a) with a^2 = 1, except that subgroup itself."""
+    held = [(a, 0) for a in range(n) if a * a % n == 1]
+    held += [(0, a) for a, _ in held]
+    seen = set(held)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            if (a * a + b * b) % n == 1 and (a, b) not in seen:
+                out.append((a, b))
+                seen.update(((a * c - b * d) % n, (a * d + b * c) % n) for c, d in held)
+    return tuple(out)
+
+
+def _leads_its_orbit(witness: tuple[Point, ...], key: tuple[int, ...], table: EdgeClassTable) -> bool:
+    """True iff no rotation carries the triangle ``witness``, first point at 0,
+    to a larger ``_triangle_key`` than ``key``."""
+    n = table.n
+    cls_of, tops, lifts = table.class_of_diff, table.tops, table.lifts
+    _, (x2, y2), (x3, y3) = witness
+    for a, b in _rotations(n):
+        u, v = (a * x2 - b * y2) % n, (b * x2 + a * y2) % n
+        s, t = (a * x3 - b * y3) % n, (b * x3 + a * y3) % n
+        rotated = _triangle_key(
+            cls_of[u * n + v], cls_of[s * n + t], cls_of[((s - u) % n) * n + (t - v) % n], tops, lifts, key[0]
+        )
+        if rotated > key:
+            return False
+    return True
 
 
 def seed_L3(n: int, mode: str = "any") -> list[PointSetRecord]:
@@ -475,56 +504,38 @@ def seed_candidates(
 def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum cardinality by a clique search around each canonical triangle.
 
-    A canonical matrix leads with a canonical triangle, and realizations of
-    one matrix differ by isometries that keep the position predicates, so a
-    copy of every set of three or more points extends the witness of a
-    ``seed_L3`` record.  The leading entry ``key[0]`` of a canonical matrix
-    is its largest entry under every relabeling, so the copy only uses
-    admissible classes: ``tops[c] <= key[0]``, where ``tops[c]`` is the
-    largest image of c under the identity and every relabeling; the table
-    holds their differences as ``admissible[key[0]]``.  Each
-    record's witness stands for all realizations of its triangle: with the
-    first two points fixed, the third points realizing one matrix lie in one
-    orbit of the sign changes fixing both, which keep the position predicates.
+    Realizations of one matrix differ by isometries that keep the position
+    predicates, and with two points fixed the third points realizing a
+    triangle lie in one orbit of the sign changes fixing both, so each
+    ``seed_L3`` witness stands for every realization of its triangle.  A
+    seed with key K searches the sets holding its witness whose every
+    triangle keys at most K (``_triangle_key``): candidates use only the
+    admissible classes, ``tops[c] <= K[0]`` (``admissible[K[0]]``), which is
+    this rule for one edge, and ``seed_candidates`` drops a candidate that
+    keys above K with two witness points.
 
-    The copy only uses candidates whose triangles with two witness points
-    key at most the seed's ``key``: the first three entries of a matrix key
-    are the key of its first three points, so those of a canonical key are
-    the largest key of a triple under any ordering and relabeling, the
-    largest canonical triangle key over the set's triples
-    (``_triangle_key``).  A set holding a triple that keys above ``key``
-    thus leads with a larger canonical triangle, whose seed ran earlier and
-    already searched a copy of the set; a triple that keys equal is kept.
-    The admissible classes are this rule for one edge, and
-    ``seed_candidates`` applies it to each triangle of a candidate with two
-    witness points.
+    A seed runs only if no rotation (x, y) -> (ax - by, bx + ay), a^2 + b^2
+    = 1, carries its triangle to a larger key (``_leads_its_orbit``).  The
+    key is invariant under the group H of translations, sign changes, the
+    swap and unit scalings.  In G = <H, rotations> the translations are
+    normal, and the rotations are normal among the linear maps (a sign
+    change or the swap conjugates (a, b) to (a, -b)), so each g in G is an
+    element of H after a rotation, and the largest key of gT over G is the
+    largest over the rotations of T.  Rotations are linear of determinant
+    one and keep x^2 + y^2, so every image gS of a set S passes the filters
+    S passes.  Take g and a triangle T* of gS whose key is the largest over
+    all images of S and their triangles: no rotation raises it, so the seed
+    of T* runs, and gS, moved onto its witness by H, keys at most K(T*) on
+    every triangle and is searched.
 
-    ``seed_candidates`` is the whole per-seed set-up: the candidates are the
-    points at admissible distances from the witness that pass the position
-    filters and the triangle keys with it, two adjacent when their distance
-    is admissible and they pass the filters with the witness.  The extra
-    points form a clique, bounded by the greedy coloring of
+    The extra points form a clique, bounded by the greedy coloring of
     ``cliquegraph._color_order``; lines through two chosen points, and in
     general mode circles through three, drop candidates as points are
     chosen.  Seeds run in descending key order, as large leading classes
-    admit the most candidates and give a large incumbent early.  ``deadline``
-    is a ``time.monotonic()`` instant, read before each seed and every
-    ``BUDGET_POLL`` nodes; once it has passed, ``SearchTimeout`` carries the
-    incumbent size and points.
-
-    The filters work on bitmasks over Z_n^2 moved by ``_shift`` and read at
-    the candidates by one gather.  One ``frame`` of class and
-    ``_code_layout`` tables decides the witness constraints in each
-    candidate's own frame; its line tables are built per call from the line
-    table the call reads.  In semi-general mode the points on a line
-    through candidates u and v are ``pair_rows[v - u]`` translated by u,
-    filled into ``lines`` on first use.  In general mode each candidate keeps
-    its line and circle state in its own frame, and ``descend`` visits every
-    candidate at each branch for the circles anyway, so both tests are
-    lookups at ``codes[v] - codes[p]`` in tables laid out by
-    ``_code_layout``: the bisector of candidate p and a new point v is
-    ``origin_bis[codes[v] - codes[p]]`` of ``_circle_tables``, and
-    ``_point_bisector`` runs only to fill that table, n^2 times per modulus.
+    admit the most candidates and give a large incumbent early.
+    ``deadline`` is a ``time.monotonic()`` instant, read before each seed
+    and every ``BUDGET_POLL`` nodes; once it has passed, ``SearchTimeout``
+    carries the incumbent size and points.
     """
     from .geometry import line_table
 
@@ -540,7 +551,7 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
         origin_bis = _circle_tables(n)[0] if circles else ()
     cls_at = _code_layout(table.class_of_diff, n)
     frame = (table.tops, table.lifts, cls_at, bit_at, line_at, origin_bis)
-    seeds = [rec for rec in seed_L3(n, mode) if rec.canonical]
+    seeds = [rec for rec in seed_L3(n, mode) if rec.canonical and _leads_its_orbit(rec.witness, rec.key, table)]
     best = 3 if seeds else 0
     best_witness: tuple[Point, ...] = seeds[-1].witness if seeds else ()
     nodes = 0

@@ -17,8 +17,7 @@ orbit-branched search, ``_rooted_value``, and one seed, ``_rooted_seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from .cliquegraph import (
     DistanceGraph,
@@ -30,7 +29,7 @@ from .cliquegraph import (
 )
 from .errors import InvalidInputError, NotApplicableError, SearchTimeout
 from .geometry import Point
-from .modring import factorize, is_prime, omega, squares
+from .modring import factorize, omega, squares
 
 
 def _scales(n: int, odd: bool) -> tuple[int, int]:
@@ -109,26 +108,6 @@ def best_construction(n: int) -> tuple[list[Point], int]:
     if conjectured_I2_tag(n)[1] == "lemma2":
         return lemma2_points(n)
     return lemma1_points(n)
-
-
-def cartesian_compose(points_a: list[Point], a: int, points_b: list[Point], b: int) -> list[Point]:
-    """CRT product of integral point sets over Z_a^2 and Z_b^2, for coprime a, b.
-
-    The result has |P_a| * |P_b| points over Z_ab^2 and is pairwise integral;
-    the multiplicativity fails for non-coprime moduli, so those are rejected.
-    """
-    if gcd(a, b) != 1:
-        raise InvalidInputError(f"moduli {a} and {b} are not coprime")
-    ab = a * b
-    inv_a_mod_b = pow(a, -1, b) if b > 1 else 0
-    inv_b_mod_a = pow(b, -1, a) if a > 1 else 0
-
-    def crt(xa: int, xb: int) -> int:
-        return (xa * b * inv_b_mod_a + xb * a * inv_a_mod_b) % ab
-
-    return sorted(
-        tuple(crt(ca, cb) for ca, cb in zip(pa, pb)) for pa in points_a for pb in points_b
-    )
 
 
 def even_weight(u: Point, v: Point, two_n: int) -> int:
@@ -232,24 +211,6 @@ def ilig_set(p: int) -> list[Point]:
     assert len(pts) == p
     _verify_integral(pts, p)
     return pts
-
-
-def semi_general_upper(n: int) -> int:
-    """Best known upper bound for the no-3-collinear maximum over Z_n^2.
-
-    Minimum of the row-partition bound 2n, the projective bound p + 1 for odd
-    primes, and the prime-power bound n(1 + p^-ceil((a+1)/2) + p^-a) for each
-    p^a exactly dividing n, floored to an integer.
-    """
-    if n < 2:
-        raise InvalidInputError("upper bound defined for n >= 2")
-    bounds = [2 * n]
-    if n % 2 == 1 and is_prime(n):
-        bounds.append(n + 1)
-    for p, a in factorize(n):
-        val = n * (1 + Fraction(1, p ** ((a + 2) // 2)) + Fraction(1, p**a))
-        bounds.append(int(val))  # Fraction floors via int() for positive values
-    return min(bounds)
 
 
 def _solve_rooted(n: int, m: int, deadline: float | None) -> int:

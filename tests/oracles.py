@@ -5,14 +5,19 @@ search.  Two other graph formulations give the same clique number and serve
 here as cross-checks: the full distance graph on all of Z_n^m, and the family
 of graphs with a fixed anchor edge class (two points fixed).  The orbits that
 search branches on are checked against orbits closed under every unit scaling
-and every rotation of the first two coordinates.  Collinearity of a whole set
+and every rotation of the first two coordinates, and the orderly search's
+seeds against the orbits of triangles under the same maps and translations,
+joined by union-find.  Collinearity of a whole set
 is tested against the cyclic lines through 0, enumerated from their
 directions.  The orderly search's
 candidate graph around a triangle is checked against the per-edge walk that
 computes one bisector mask per tested pair and one triangle key per witness
-pair by a search over orderings and relabelings.
+pair by a search over orderings and relabelings.  The CRT product of point
+sets over coprime moduli and the best known semi-general upper bound are
+computed here too, for the tests that bracket the library's values.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
@@ -24,7 +29,9 @@ from ringpoints.cliquegraph import (
     build_full,
     max_clique,
 )
-from ringpoints.geometry import delta, is_integral_delta, line_table, point_index
+from ringpoints.errors import InvalidInputError
+from ringpoints.geometry import Point, delta, is_integral_delta, line_table, point_index
+from ringpoints.modring import factorize, is_prime
 from ringpoints.orderly import _point_bisector, _shift, edge_classes, matrix_key
 from ringpoints.reductions import _solve_rooted
 
@@ -44,6 +51,44 @@ def is_set_collinear(points, n: int) -> bool:
     x0, y0 = points[0]
     diffs = {((x - x0) % n, (y - y0) % n) for x, y in points}
     return any(diffs <= line for line in _lines_through_origin(n))
+
+
+def cartesian_compose(points_a: list[Point], a: int, points_b: list[Point], b: int) -> list[Point]:
+    """CRT product of integral point sets over Z_a^2 and Z_b^2, for coprime a, b.
+
+    The result has |P_a| * |P_b| points over Z_ab^2 and is pairwise integral;
+    the multiplicativity fails for non-coprime moduli, so those are rejected.
+    """
+    if gcd(a, b) != 1:
+        raise InvalidInputError(f"moduli {a} and {b} are not coprime")
+    ab = a * b
+    inv_a_mod_b = pow(a, -1, b) if b > 1 else 0
+    inv_b_mod_a = pow(b, -1, a) if a > 1 else 0
+
+    def crt(xa: int, xb: int) -> int:
+        return (xa * b * inv_b_mod_a + xb * a * inv_a_mod_b) % ab
+
+    return sorted(
+        tuple(crt(ca, cb) for ca, cb in zip(pa, pb)) for pa in points_a for pb in points_b
+    )
+
+
+def semi_general_upper(n: int) -> int:
+    """Best known upper bound for the no-3-collinear maximum over Z_n^2.
+
+    Minimum of the row-partition bound 2n, the projective bound p + 1 for odd
+    primes, and the prime-power bound n(1 + p^-ceil((a+1)/2) + p^-a) for each
+    p^a exactly dividing n, floored to an integer.
+    """
+    if n < 2:
+        raise InvalidInputError("upper bound defined for n >= 2")
+    bounds = [2 * n]
+    if n % 2 == 1 and is_prime(n):
+        bounds.append(n + 1)
+    for p, a in factorize(n):
+        val = n * (1 + Fraction(1, p ** ((a + 2) // 2)) + Fraction(1, p**a))
+        bounds.append(int(val))  # Fraction floors via int() for positive values
+    return min(bounds)
 
 
 def full_value(n, m):
@@ -139,6 +184,76 @@ def all_units_orbits(points, n, form_modulus):
                     orbit.append(k)
         orbits.append(orbit)
     return orbits
+
+
+def _generators(elements, mul, one):
+    """A subset of ``elements`` that generates the same group under ``mul``:
+    an element joins when those taken so far do not generate it."""
+    group, gens = {one}, []
+    for g in elements:
+        if g not in group:
+            gens.append(g)
+            while True:
+                grown = group | {mul(h, x) for h in group for x in gens}
+                if grown == group:
+                    break
+                group = grown
+    return gens
+
+
+def triangle_orbit_count(n: int) -> int:
+    """The number of orbits of the integral non-collinear triangles of Z_n^2
+    under translations, sign changes, the swap, unit scalings and rotations
+    (x, y) -> (ax - by, bx + ay) with a^2 + b^2 = 1, by union-find.
+
+    A triangle is stored as {0, p, q}, points as row-major indices x*n + y,
+    once per point moved to 0; the maps joined are a generating set of the
+    linear group and the move by -p to {0, -p, q - p}, which links the
+    three stored copies of one triangle.
+    """
+    n2 = n * n
+    integral = [d != 0 and is_integral_delta(divmod(d, n), n) for d in range(n2)]
+    points = [d for d in range(n2) if integral[d]]
+    on_line = [0] * n2  # the points on a cyclic line through 0 and d
+    for line in _lines_through_origin(n):
+        mask = sum(1 << (x * n + y) for x, y in line)
+        for x, y in line:
+            on_line[x * n + y] |= mask
+    units = _generators([u for u in range(2, n) if gcd(u, n) == 1], lambda h, u: h * u % n, 1)
+    turns = _generators(
+        [(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1],
+        lambda h, g: ((h[0] * g[0] - h[1] * g[1]) % n, (h[0] * g[1] + h[1] * g[0]) % n),
+        (1, 0),
+    )
+    linear = [(-1, 0, 0, 1), (0, 1, 1, 0), *((u, 0, 0, u) for u in units), *((a, -b, b, a) for a, b in turns)]
+    maps = [[((a * x + b * y) % n) * n + (c * x + e * y) % n for x in range(n) for y in range(n)] for a, b, c, e in linear]
+
+    def sub(q, p):
+        return ((q // n - p // n) % n) * n + (q - p) % n
+
+    nodes = {}
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            if integral[sub(q, p)] and not on_line[p] >> q & 1:
+                nodes[p * n2 + q] = len(nodes)
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for code, i in nodes.items():
+        p, q = divmod(code, n2)
+        root = find(i)
+        images = [(m[p], m[q]) for m in maps]
+        images.append((sub(0, p), sub(q, p)))
+        for a, b in images:
+            j = find(nodes[a * n2 + b if a < b else b * n2 + a])
+            if j != root:
+                parent[j] = root
+    return sum(1 for i, up in enumerate(parent) if up == i)
 
 
 # The key of a triangle under each ordering of its points, as positions in

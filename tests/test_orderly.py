@@ -5,8 +5,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import is_set_collinear, orderly_seed_graph, triangle_key
-from ringpoints import geometry
+from oracles import is_set_collinear, orderly_seed_graph, triangle_key, triangle_orbit_count
+from ringpoints import geometry, orderly
 from ringpoints.reductions import I_of
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
@@ -30,6 +30,7 @@ from ringpoints.orderly import (
     _ordering_exceeds,
     _point_bisector,
     _reaching_relabelings,
+    _rotations,
     _shift,
     _triangle_key,
     edge_classes,
@@ -631,11 +632,12 @@ def test_shift_translates_every_point():
 def test_max_cardinality_budget():
     from ringpoints.errors import SearchTimeout
 
+    # n = 36 runs for about a second in either mode, far beyond the budget
     with pytest.raises(SearchTimeout) as exc_info:
-        max_cardinality(29, "semi-general", budget=0.02)
+        max_cardinality(36, "semi-general", budget=0.02)
     assert exc_info.value.lower_bound >= 3
     # the timeout carries the incumbent points, here in general position
-    n = 29
+    n = 36
     with pytest.raises(SearchTimeout) as exc_info:
         max_cardinality(n, "general", budget=0.02)
     bound, witness = exc_info.value.lower_bound, exc_info.value.witness
@@ -807,6 +809,77 @@ def test_dfs_agrees_with_level_engine():
             levels, stats = generate_levels(n, mode)
             level_max = max(stats.level_sizes) if stats.level_sizes else 2
             assert max_cardinality(n, mode) == level_max, (n, mode)
+
+
+def test_rotations_are_one_per_coset_and_keep_the_predicates():
+    # the rotations the orderly search filters its seeds by: with the
+    # identity, one per coset of those the relabelings and sign changes hold,
+    # and each keeps integrality, cyclic lines and circles on random sets,
+    # random collinear triples and random quadruples on one circle locus
+    rng = random.Random(26)
+    seen = defaultdict(int)
+    for n in (5, 8, 13, 20, 25, 29, 36, 48, 50):
+        turns = {(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1}
+        held = {(a, 0) for a in range(n) if a * a % n == 1} | {(0, a) for a in range(n) if a * a % n == 1}
+        cosets = [
+            frozenset(((a * c - b * d) % n, (a * d + b * c) % n) for c, d in held)
+            for a, b in ((1, 0), *_rotations(n))
+        ]
+        assert len(set(cosets)) == len(cosets) and set().union(*cosets) == turns, n
+        points = [(x, y) for x in range(n) for y in range(n)]
+        for a, b in _rotations(n):
+            def turn(p):
+                return ((a * p[0] - b * p[1]) % n, (b * p[0] + a * p[1]) % n)
+
+            for _ in range(20):
+                (px, py), (cx, cy) = rng.sample(points, 2)
+                line = set()
+                while len(line) < 3:
+                    wx, wy = rng.choice(points)
+                    line = {((px + t * wx) % n, (py + t * wy) % n) for t in range(n)}
+                radius = defaultdict(list)
+                for x, y in points:
+                    radius[((x - cx) ** 2 + (y - cy) ** 2) % n].append((x, y))
+                circle = rng.choice([c for c in radius.values() if len(c) >= 4])
+                sets = [rng.sample(points, 4), rng.sample(sorted(line), 3), rng.sample(circle, 4)]
+                for pts in sets:
+                    image = [turn(p) for p in pts]
+                    for u, v in combinations(range(len(pts)), 2):
+                        seen["integral"] += is_integral(pts[u], pts[v], n)
+                        assert is_integral(pts[u], pts[v], n) == is_integral(image[u], image[v], n)
+                    if len(pts) == 3:
+                        seen["collinear"] += is_collinear(*pts, n)
+                        assert is_collinear(*pts, n) == is_collinear(*image, n), (n, a, b, pts)
+                    else:
+                        seen["concyclic"] += is_concyclic(*pts, n)
+                        seen["cocircular"] += is_cocircular(*pts, n)
+                        assert is_concyclic(*pts, n) == is_concyclic(*image, n), (n, a, b, pts)
+                        assert is_cocircular(*pts, n) == is_cocircular(*image, n), (n, a, b, pts)
+    assert all(seen[k] for k in ("integral", "collinear", "concyclic", "cocircular")), seen
+
+
+def test_kept_seeds_are_the_triangle_orbits(monkeypatch):
+    # _dfs_max searches once per orbit of the integral non-collinear
+    # triangles under translations, sign changes, the swap, unit scalings and
+    # rotations; a stand-in set-up records each seed and searches nothing
+    kept = []
+    monkeypatch.setattr(orderly, "seed_candidates", lambda witness, *rest: kept.append(witness))
+    counts = {}
+    for n in range(2, 41):
+        kept.clear()
+        orderly._dfs_max(n, "general", None)
+        counts[n] = len(kept)
+        assert counts[n] == triangle_orbit_count(n), n
+    assert (counts[20], counts[29], counts[36]) == (57, 24, 124)
+
+
+def test_rotation_filter_keeps_every_value(monkeypatch):
+    # every seed a rotation carries to a larger triangle key is dropped; with
+    # all canonical seeds searched the values are the same
+    cells = [(n, mode) for mode in MODES for n in range(2, 31)]
+    filtered = {cell: max_cardinality(*cell) for cell in cells}
+    monkeypatch.setattr(orderly, "_leads_its_orbit", lambda *args: True)
+    assert {cell: max_cardinality(*cell) for cell in cells} == filtered
 
 
 def test_semi_general_prime_theorem():

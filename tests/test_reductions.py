@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import is_set_collinear
+from oracles import cartesian_compose, is_set_collinear, semi_general_upper
 from ringpoints.cliquegraph import (
     DistanceGraph,
     _all_points,
@@ -16,7 +16,6 @@ from ringpoints.reductions import (
     _hamming_table,
     _solve_rooted,
     best_construction,
-    cartesian_compose,
     conjectured_I2,
     conjectured_I2_tag,
     even_reduction_graph,
@@ -29,7 +28,6 @@ from ringpoints.reductions import (
     lemma1_points,
     lemma2_bound,
     lemma2_points,
-    semi_general_upper,
     verify_conjecture,
 )
 
