@@ -36,6 +36,11 @@ def _check_odd_prime(p: int) -> None:
         raise InvalidInputError(f"characteristic theory needs an odd prime, got {p}")
 
 
+def _char_of(v2: int, p: int) -> int:
+    """1 if the nonzero squared volume v2 is a residue mod p, alpha(p) otherwise."""
+    return 1 if v2 in squares(p).nonzero_squares else alpha(p)
+
+
 def triangle_char(a: int, b: int, c: int, p: int) -> int:
     """1 if the squared-area value is a nonzero residue mod p, alpha(p) otherwise."""
     _check_odd_prime(p)
@@ -44,7 +49,7 @@ def triangle_char(a: int, b: int, c: int, p: int) -> int:
     v2 = heron_v2(a, b, c, p)
     if v2 == 0:
         raise DegenerateError(f"triangle ({a},{b},{c}) mod {p} is degenerate")
-    return 1 if v2 in squares(p).nonzero_squares else alpha(p)
+    return _char_of(v2, p)
 
 
 ExtElem = tuple[int, int]  # u + v * sqrt(radical), coordinates mod p
@@ -166,7 +171,7 @@ def simplex_char(d, p: int) -> int:
     v2 = cayley_menger(d, p)
     if v2 == 0:
         raise DegenerateError("simplex is degenerate")
-    return 1 if v2 in squares(p).nonzero_squares else alpha(p)
+    return _char_of(v2, p)
 
 
 def char_consistent(d, p: int, m: int = 2) -> tuple[bool, int | None]:
@@ -185,7 +190,7 @@ def char_consistent(d, p: int, m: int = 2) -> tuple[bool, int | None]:
         v2 = cayley_menger(sub, p)
         if v2 == 0:
             continue
-        seen.add(1 if v2 in squares(p).nonzero_squares else alpha(p))
+        seen.add(_char_of(v2, p))
         if len(seen) > 1:
             return False, None
     if not seen:

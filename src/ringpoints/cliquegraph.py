@@ -7,7 +7,9 @@ restricted to a vertex set: one connection table over the k^m difference
 vectors, indexed by ``point_index``, decides every pair.  A graph keeps its
 vertex list and that table, and builds adjacency rows only when asked, for
 the subgraph induced on a given vertex order: each row is one slice of the
-table read by one ``itemgetter`` in C (``_cayley_rows``).  The graph variants
+table, laid out by ``geometry.diff_layout`` and read by one
+``geometry.bit_reader`` in C (``_cayley_rows``), the layer ``orderly``
+reads its tables through too.  The graph variants
 differ only in vertex set and table: the full graph on all of Z_n^m and the
 graph rooted at 0 (one point fixed by translation symmetry) use the integral
 table by default.  The rooted builder also takes the table of the
@@ -35,10 +37,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from operator import itemgetter
 
 from .errors import InvalidInputError, ResourceLimitError, SearchTimeout
-from .geometry import Point
+from .geometry import Point, bit_reader, diff_layout, point_code
 from .modring import squares
 
 DEFAULT_MAX_VERTICES = 1 << 17
@@ -141,65 +142,48 @@ def _integral_diff_table(n: int, m: int) -> list[bool]:
     return [sum(c * c for c in p) % n in sq for p in _all_points(n, m)]
 
 
-def _picker(indices: list[int]) -> Callable:
-    """``itemgetter(*indices)``, returning a tuple for a single index too."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda s: (s[i],)
-    return itemgetter(*indices)
+def _cayley_coder(points: list[Point], k: int, table: list[bool]) -> tuple[str, int, list[int]]:
+    """(rev, offset, codes): the table string ``_cayley_rows`` gathers rows from.
 
-
-def _cayley_coder(points: list[Point], k: int, table: list[bool]) -> tuple[bytearray, int, list[int]]:
-    """(rev, offset, codes): the encoding ``_cayley_rows`` gathers rows from.
-
-    Each point is encoded once as sum p_i * (2k - 1)^(m-1-i); the integer
-    difference of two encodings then indexes a table over the digit range
-    -(k-1)..k-1 with one subtraction.  The table is stored reversed as '0'/'1'
-    bytes, rev[offset - d] for the difference d, with no loop at d = 0.
+    ``codes`` are the ``point_code`` of the points.  ``rev`` is the table
+    over the codes -offset..offset of ``diff_layout``, as a '0'/'1' string
+    reversed: rev[offset - d] for the code d, with no loop at d = 0.
     """
-    m = len(points[0])
-    base = 2 * k - 1
-    residues = [0]
-    for _ in range(m):
-        residues = [r * k + d % k for r in residues for d in range(k - 1, -k, -1)]
-    rev = bytearray(49 if table[r] else 48 for r in residues)
-    offset = len(rev) // 2
-    rev[offset] = 48  # no loops
-    codes = []
-    for p in points:
-        code = 0
-        for c in p:
-            code = code * base + c
-        codes.append(code)
-    return rev, offset, codes
+    bits = ["1" if ok else "0" for ok in table]
+    bits[0] = "0"  # no loops
+    text = "".join(diff_layout(bits, k, len(points[0])))
+    offset = len(text) // 2
+    return text[offset::-1] + text[:offset:-1], offset, [point_code(p, k) for p in points]
 
 
-def _cayley_rows(coder: tuple[bytearray, int, list[int]], order: list[int]) -> Callable[[int], int]:
+def _cayley_rows(coder: tuple[str, int, list[int]], order: list[int]) -> Callable[[int], int]:
     """Row gatherer over the vertex order ``order`` of a Cayley graph (see ``DistanceGraph.gatherer``).
 
     Row u is one slice of ``rev`` starting at offset - c_u, read at the codes
-    of ``order`` by a single ``itemgetter`` built once per order.
+    of ``order`` by one ``bit_reader`` built once per order: bit j is the
+    entry for code(u) - code(order[j]).
     """
     rev, offset, codes = coder
-    pick = _picker([codes[j] for j in reversed(order)])  # int(..., 2) reads the highest bit first
-    return lambda i: int(bytes(pick(rev[offset - codes[i] :])), 2)
+    read = bit_reader([codes[j] for j in order])
+    return lambda i: read(rev[offset - codes[i] :])
 
 
 def _permuted_rows(adj: list[int], order: list[int]) -> Callable[[int], int]:
     """Row gatherer over ``order`` of an explicit graph (see ``DistanceGraph.gatherer``).
 
     Row i is ``adj[i]`` with bit j moved to the position of j in ``order``, by
-    one ``itemgetter`` over the row's '0'/'1' string, whose character -1 - j
+    one ``bit_reader`` over the row's '0'/'1' string, whose character -1 - j
     is bit j; the identity order only clears the loop.
     """
     v = len(adj)
     if order == list(range(v)):
         return lambda i: adj[i] & ~(1 << i)
-    pick = _picker([-1 - j for j in reversed(order)])
+    read = bit_reader([-1 - j for j in order])
+    width = f"0{v}b"
     pos = {j: new for new, j in enumerate(order)}
 
     def row(i: int) -> int:
-        r = int(bytes(pick(format(adj[i], f"0{v}b").encode())), 2)
+        r = read(format(adj[i], width))
         return r & ~(1 << pos[i]) if i in pos else r
 
     return row
@@ -242,12 +226,7 @@ def _greedy_clique(adj, v: int, seed: list[int] | None = None) -> list[int]:
     cand = (1 << v) - 1
     for s in clique:
         cand &= adj[s] & ~(1 << s)
-    return _grow_clique(adj, clique, cand)
-
-
-def _grow_clique(adj, clique: list[int], cand: int) -> list[int]:
-    """Extend ``clique`` by the candidate with most candidate neighbours until none is left."""
-    while cand:
+    while cand:  # add the candidate with most candidate neighbours
         bestv, bestd = -1, -1
         q = cand
         while q:

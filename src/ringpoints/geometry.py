@@ -16,8 +16,10 @@ of the orderly search, read the common centers from the bisector bitmasks of
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import InvalidInputError
 from .modring import lee_weight, squares
@@ -51,6 +53,40 @@ def point_index(p: Point, n: int) -> int:
     for c in p:
         idx = idx * n + c % n
     return idx
+
+
+def point_code(p: Point, k: int) -> int:
+    """Base-(2k - 1) code sum(p_i * (2k - 1)^(m-1-i)) of a point of Z_k^m, 0 <= p_i < k."""
+    code = 0
+    for c in p:
+        code = code * (2 * k - 1) + c
+    return code
+
+
+def diff_layout(values: Sequence, k: int, m: int) -> list:
+    """A table over the differences of Z_k^m (``point_index`` order), laid out by code.
+
+    The entry for the difference d, |d_i| < k, sits at ``point_code(d, k)``.
+    The (2k - 1)^m positions meet each code once, negative ones wrapping, so
+    the entry for q - p is at point_code(q) - point_code(p), one subtraction.
+    """
+    out = values
+    size = 1  # entries per value of the next axis; the axes after it already run in code order
+    for _ in range(m - 1):  # its residues 1..k-1, then 0..k-1, are the digits 1-k..k-1 ascending
+        step = k * size
+        out = [x for b in range(0, len(out), step) for x in out[b + size : b + step] + out[b : b + step]]
+        size *= 2 * k - 1
+    # the first axis in wrapped order, residues 0..k-1 then 1..k-1, holds code c at
+    # (c + size // 2) mod (2k - 1)^m; moving the first size // 2 entries to the end
+    # puts every code c at c mod (2k - 1)^m
+    h = size // 2
+    return [*out[h:], *out[size:], *out[:h]]
+
+
+def bit_reader(positions: Sequence[int]) -> Callable[[Sequence[str]], int]:
+    """``read(s)``: bit i is the '0'/'1' character ``s[positions[i]]``, for one or more positions."""
+    pick = itemgetter(*reversed(positions))  # int(..., 2) reads the highest bit first
+    return lambda s: int("".join(pick(s)), 2)
 
 
 @dataclass(frozen=True)

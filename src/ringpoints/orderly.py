@@ -27,9 +27,11 @@ every set is found from the triangle keying highest over all its images.
 
 Around each triangle the filters run on bitmasks over Z_n^2 (bit x*n + y)
 translated on the torus by ``_shift`` and read at the candidates by one C
-gather.  Each candidate is tested in its own frame, translated by minus the
-candidate, so every bisector mask it needs is one entry of a table built
-once per modulus (``_circle_tables``).
+gather, ``geometry.bit_reader``.  Each candidate is tested in its own frame,
+translated by minus the candidate, so every table over the differences is
+read at one code difference (``geometry.diff_layout``, shared with the
+Cayley rows of ``cliquegraph``), and every bisector mask it needs is one
+entry of a table built once per modulus (``_circle_tables``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import itemgetter, or_
+from operator import or_
 import time
 
 from .cliquegraph import BUDGET_POLL, _color_order, deadline_after
@@ -48,8 +50,11 @@ from .geometry import (
     DeltaVec,
     Point,
     _bisector_mask,
+    bit_reader,
+    diff_layout,
     is_collinear,
     is_integral_delta,
+    point_code,
 )
 
 MODES = ("any", "semi-general", "general")
@@ -356,28 +361,12 @@ def _shift(mask: int, x: int, y: int, n: int) -> int:
     return mask
 
 
-def _code_layout(values: Sequence[int], n: int) -> tuple[int, ...]:
-    """A table over the differences of Z_n^2 (row-major, x*n + y), laid out by code.
-
-    The entry for the difference (dx, dy) mod n, |dx|, |dy| < n, sits at
-    dx*(2n - 1) + dy.  The (2n - 1)^2 indices meet each position once,
-    negative ones wrapping, so with code(p) = x*(2n - 1) + y the entry for
-    q - p is at code(q) - code(p), one subtraction.
-    """
-    w = 2 * n - 1
-    out = [0] * (w * w)
-    for dx in range(1 - n, n):
-        for dy in range(1 - n, n):
-            out[dx * w + dy] = values[(dx % n) * n + dy % n]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _circle_tables(n: int) -> tuple[list[int], tuple[int, ...]]:
     """The bisector masks of 0 and each difference, and their inverse.
 
     ``origin_bis`` holds the bisector mask of 0 and each difference (the
-    bits row-major, x*n + y), laid out by ``_code_layout``: the mask for
+    bits row-major, x*n + y), laid out by ``diff_layout``: the mask for
     q - p is ``origin_bis[code(q) - code(p)]``.  ``through_origin[z]`` is
     the mask of the differences d (row-major) whose bisector mask holds z,
     i.e. the circle about z through 0.  A centre p + z' sees p and q at one
@@ -398,21 +387,7 @@ def _circle_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for z in range(n2):
         x, y = divmod(z, n)
         through_origin.append(_shift(spheres[(x * x + y * y) % n], x, y, n))
-    return _code_layout(base, n), tuple(through_origin)
-
-
-def _gatherer(points: list[Point], n: int) -> Callable[[int], int]:
-    """``gather(mask)``: bit i is the bit of the mask over Z_n^2 at ``points[i]``.
-
-    ``format`` writes the highest bit first and ``int(..., 2)`` reads it
-    first, so one ``itemgetter`` over the bit string picks the candidates from
-    last to first, in C.  With one candidate it picks a one-character string
-    instead of a tuple, which ``join`` reads the same.
-    """
-    n2 = n * n
-    width = f"0{n2}b"
-    pick = itemgetter(*[n2 - 1 - x * n - y for x, y in reversed(points)])
-    return lambda mask: int("".join(pick(format(mask, width))), 2)
+    return diff_layout(base, n, 2), tuple(through_origin)
 
 
 def seed_candidates(
@@ -424,7 +399,7 @@ def seed_candidates(
     witness point, and no triangle it spans with two witness points has a
     canonical key above the seed's ``key`` (``_triangle_key``).  ``frame =
     (tops, lifts, cls_at, bit_at, line_at, origin_bis)`` holds the class
-    order of ``edge_classes`` and ``_code_layout`` tables of the class of
+    order of ``edge_classes`` and ``diff_layout`` tables of the class of
     each difference and, in the filtered modes, its bit, the
     cyclic lines through 0 and it and, in general mode, its bisector mask
     with 0; tables a mode does not filter by are empty.  Candidate p reads
@@ -436,7 +411,8 @@ def seed_candidates(
     concyclic with the witness.
 
     Returns None if the candidates cannot beat ``best`` (at least 3), else
-    (points, spans, pairs, adj, gather), ``gather = _gatherer(points, n)``.
+    (points, spans, pairs, adj, gather): bit i of ``gather(mask)`` is the
+    bit of the mask over Z_n^2 at ``points[i]``.
     Row p of ``adj`` is, in p's frame, the admissible differences less its
     spokes (its lines through the witness) and, in general mode, the circles
     through 0 about each centre of ``pairs[p]`` (``through_origin``), shifted
@@ -449,7 +425,7 @@ def seed_candidates(
     tops, lifts, cls_at, bit_at, line_at, origin_bis = frame
     k0, k1, k2 = key
     w = 2 * n - 1
-    c1, c2, c3 = (x * w + y for x, y in witness)
+    c1, c2, c3 = (point_code(p, n) for p in witness)
     points: list[Point] = []
     spans: list[int] = []
     pairs: list[int] = []
@@ -458,7 +434,7 @@ def seed_candidates(
         low = cand & -cand
         cand ^= low
         px, py = p = divmod(low.bit_length() - 1, n)
-        cp = px * w + py
+        cp = px * w + py  # point_code(p, n), inline in the candidate loop
         line = 0
         if line_at:
             line = line_at[c1 - cp]
@@ -487,7 +463,8 @@ def seed_candidates(
         spokes.append(line)
     if 3 + len(points) <= best:
         return None
-    gather = _gatherer(points, n)
+    read, width = bit_reader([-1 - x * n - y for x, y in points]), f"0{n * n}b"  # bit b is character -1 - b
+    gather = lambda mask: read(format(mask, width))
     through_origin = _circle_tables(n)[1] if origin_bis else ()
     adj = []
     for i, (px, py) in enumerate(points):
@@ -543,13 +520,12 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
     rows = line_table(n).pair_rows
     filtered = mode in ("semi-general", "general")
     circles = mode == "general"
-    w = 2 * n - 1
     bit_at = line_at = origin_bis = ()
     if filtered:  # built per call, from the line table this call reads
-        bit_at = _code_layout([1 << d for d in range(n * n)], n)
-        line_at = _code_layout(rows, n)
+        bit_at = diff_layout([1 << d for d in range(n * n)], n, 2)
+        line_at = diff_layout(rows, n, 2)
         origin_bis = _circle_tables(n)[0] if circles else ()
-    cls_at = _code_layout(table.class_of_diff, n)
+    cls_at = diff_layout(table.class_of_diff, n, 2)
     frame = (table.tops, table.lifts, cls_at, bit_at, line_at, origin_bis)
     seeds = [rec for rec in seed_L3(n, mode) if rec.canonical and _leads_its_orbit(rec.witness, rec.key, table)]
     best = 3 if seeds else 0
@@ -569,7 +545,7 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
         points, spans, pairs, adj, gather = found
         size = len(points)
         lines: list[int | None] = [None] * (size * size if filtered and not circles else 0)
-        codes = [x * w + y for x, y in points]
+        codes = [point_code(p, n) for p in points]
 
         def line_mask(u: int, v: int) -> int:
             """Candidates on the cyclic line through candidates u and v, stored

@@ -1,21 +1,29 @@
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from oracles import is_set_collinear
+import ringpoints
 from ringpoints.errors import InvalidInputError
 from ringpoints.geometry import (
     _bisector_mask,
+    bit_reader,
     collinear_det,
     concyclic_det,
     delta,
+    diff_layout,
     is_cocircular,
     is_collinear,
     is_concyclic,
     is_integral,
     is_integral_delta,
+    point_code,
+    point_index,
 )
 from ringpoints.modring import squares
 
@@ -245,3 +253,55 @@ def test_bisector_mask_matches_center_scan():
                             if (2 * a * dx + 2 * b * dy - c) % n == 0:
                                 expect |= 1 << (a * n + b)
                     assert _bisector_mask(dx, dy, c, n) == expect, (n, dx, dy, c)
+
+
+def test_diff_layout_reads_q_minus_p_at_code_difference():
+    # the entry for q - p sits at point_code(q) - point_code(p), for every
+    # pair of Z_k^m, with a table that differs from its reflection, and the
+    # code differences meet each of the (2k - 1)^m positions
+    rng = random.Random(27)
+    for k in range(2, 8):
+        for m in range(1, 4):
+            values = [rng.randrange(1 << 30) for _ in range(k**m)]
+            layout = diff_layout(values, k, m)
+            size = (2 * k - 1) ** m
+            assert len(layout) == size
+            points = list(product(range(k), repeat=m))
+            codes = [point_code(p, k) for p in points]
+            seen = set()
+            for p, cp in zip(points, codes):
+                for q, cq in zip(points, codes):
+                    d = tuple(b - a for a, b in zip(p, q))
+                    assert layout[cq - cp] == values[point_index(d, k)], (k, m, p, q)
+                    seen.add(cq - cp)
+            assert seen == set(range(-(size // 2), size // 2 + 1)), (k, m)
+
+
+def test_bit_reader_matches_per_bit_loop():
+    # bit i of read(s) is s[positions[i]], for one position and for many,
+    # negative positions included
+    rng = random.Random(5)
+    for trial in range(300):
+        length = rng.randint(1, 80)
+        s = "".join(rng.choice("01") for _ in range(length))
+        count = 1 if trial % 3 == 0 else rng.randint(2, 2 * length)
+        positions = [rng.randrange(-length, length) for _ in range(count)]
+        expect = sum(int(s[pos]) << i for i, pos in enumerate(positions))
+        assert bit_reader(positions)(s) == expect, (s, positions)
+    assert bit_reader([3])("0001") == 1 and bit_reader([0])("0001") == 0
+
+
+def test_import_loads_no_numeric_tower():
+    # a fresh interpreter importing the package loads none of the numeric
+    # tower modules; only the test oracles use fractions
+    src = os.path.dirname(os.path.dirname(ringpoints.__file__))
+    code = "import sys, ringpoints; print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

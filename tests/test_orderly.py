@@ -13,6 +13,7 @@ from ringpoints.geometry import (
     LineTable,
     Point,
     delta,
+    diff_layout,
     is_cocircular,
     is_collinear,
     is_concyclic,
@@ -25,7 +26,6 @@ from ringpoints.orderly import (
     EdgeClassTable,
     PointSetRecord,
     _circle_tables,
-    _code_layout,
     _make_record,
     _ordering_exceeds,
     _point_bisector,
@@ -699,9 +699,9 @@ def test_candidate_rows_match_per_edge_walk():
     for n in (13, 16, 20, 25):
         table = edge_classes(n)
         tops = table.tops
-        classes = (tops, table.lifts, _code_layout(table.class_of_diff, n))
-        bit_at = _code_layout([1 << d for d in range(n * n)], n)
-        line_at = _code_layout(line_table(n).pair_rows, n)
+        classes = (tops, table.lifts, diff_layout(table.class_of_diff, n, 2))
+        bit_at = diff_layout([1 << d for d in range(n * n)], n, 2)
+        line_at = diff_layout(line_table(n).pair_rows, n, 2)
         seeds = [rec for rec in seed_L3(n, "semi-general") if rec.canonical]
         for mode in ("any", "semi-general", "general"):
             if mode == "any":
