@@ -18,7 +18,10 @@ even-modulus weight graph and of the Z_3^m Hamming graph.
 The solver is branch and bound over bitset candidate sets with greedy-coloring
 upper bounds (``_color_order``, shared with ``orderly``), vertices preordered
 by descending degree.  Adjacency rows are Python ints used as bit vectors,
-which keeps the inner loops in C.  Graphs rooted at 0 are searched with orbit
+which keeps the inner loops in C.  A searched subgraph keeps its complement
+rows only, so the coloring drops a vertex and its neighbours with one AND; it
+lists only the vertices colored above the floor incumbent - depth, the only
+ones a branch can take.  Graphs rooted at 0 are searched with orbit
 branching: unit scalings, coordinate permutations, sign changes and the
 rotations (x, y) -> (ax - by, bx + ay) with a^2 + b^2 = 1 modulo the quadratic
 form's modulus fix 0 and keep the graph, so the top level tries one vertex
@@ -254,12 +257,18 @@ class _RowCache(dict):
         return row
 
 
-def _color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the bitset ``cand``: vertices in coloring order, their colors.
+def _color_order(cand: int, nadj: list[int], floor: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the bitset ``cand``: the vertices colored above ``floor``, in order, and their colors.
 
-    Each class takes the lowest uncolored vertex, then the next lowest ones not
-    adjacent to the class.  A clique among the first i + 1 vertices has at most
-    ``colors[i]`` of them, so both exact engines branch from the end.
+    ``nadj[v]`` is v's complement row, the vertices neither adjacent to v nor
+    v itself, so a class drops a vertex and its neighbours with one AND.  Each
+    class takes the lowest uncolored vertex, then the next lowest ones not
+    adjacent to the class.  A clique among the vertices colored at most
+    ``colors[i]`` has at most ``colors[i]`` of them, so both exact engines
+    branch from the end and stop at the first color that, added to the depth,
+    cannot beat the incumbent.  With ``floor`` = incumbent - depth no vertex
+    colored at most ``floor`` is ever branched on (the incumbent only grows),
+    so those vertices are colored but not listed.
     """
     order: list[int] = []
     colors: list[int] = []
@@ -267,14 +276,27 @@ def _color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
     while cand:
         color += 1
         free = cand
+        if color <= floor:
+            while free:
+                low = free & -free
+                cand ^= low
+                free &= nadj[low.bit_length() - 1]
+            continue
+        start = len(order)
         while free:
             low = free & -free
             v = low.bit_length() - 1
             order.append(v)
-            colors.append(color)
             cand ^= low
-            free = (free ^ low) & ~adj[v]
+            free &= nadj[v]
+        colors += [color] * (len(order) - start)
     return order, colors
+
+
+def _complement_rows(rows: list[int]) -> list[int]:
+    """The complement rows ``_color_order`` reads: bit k of row k and every adjacency bit cleared."""
+    full = (1 << len(rows)) - 1
+    return [full ^ (row | 1 << k) for k, row in enumerate(rows)]
 
 
 def max_clique(
@@ -344,7 +366,7 @@ def max_clique(
     best = [perm[j] for j in _greedy_clique(row, v, seed)]
     best_size = len(best)
     nodes = 0
-    adj: list[int] = []  # rows of the subgraph being searched, bit k for names[k]
+    nadj: list[int] = []  # complement rows of the subgraph being searched, bit k for names[k]
     names: list[int] = perm
 
     def poll() -> None:
@@ -356,15 +378,15 @@ def max_clique(
         nodes += 1
         if nodes % BUDGET_POLL == 0:
             poll()
-        order, colors = _color_order(p, adj)
-        cur = p
         rlen = len(rstack)
+        order, colors = _color_order(p, nadj, best_size - rlen)
+        cur = p
         for i in range(len(order) - 1, -1, -1):
             if rlen + colors[i] <= best_size:
                 return
             u = order[i]
             cur ^= 1 << u
-            sub = cur & adj[u]
+            sub = cur & ~nadj[u]
             if sub:
                 rstack.append(names[u])
                 _expand(rstack, sub)
@@ -374,7 +396,7 @@ def max_clique(
                 best_size = len(best)
 
     if orbits is None:
-        adj = [row[j] for j in everyone]
+        nadj = _complement_rows([row[j] for j in everyone])
         _expand([], (1 << v) - 1)
     else:
         remaining = (1 << v) - 1
@@ -387,7 +409,7 @@ def max_clique(
                 # the neighbours left, in perm order: bit j of sub is perm[j]
                 names = list(compress(perm, format(sub, f"0{v}b").encode()[::-1].translate(_BIT_BYTES)))
                 gather = g.gatherer(names)
-                adj = [gather(i) for i in names]
+                nadj = _complement_rows([gather(i) for i in names])
                 rows_built += len(names)
                 _expand([perm[rep]], (1 << len(names)) - 1)
             elif best_size < 1:
@@ -421,24 +443,38 @@ def _rooted_orbits(points: list[Point], n: int, form_modulus: int) -> list[list[
     + y^2); the group they generate acts on every graph rooted at 0 here.  A
     rotation with a^2 + b^2 = 1 only mod n is no automorphism of the even
     weight graph, so q has no default.  Orbits are closed under one sign
-    change, a cyclic shift, a transposition and generating sets of the unit
-    group and of the rotations, which together generate it: a unit or rotation
-    joins the set only when those of its kind taken so far do not generate it.
+    change, a cyclic shift, a transposition (for m > 2; for m = 2 it is the
+    shift) and generating sets of the unit group and of the rotations, which
+    together generate it: a unit or rotation joins the set only when those of
+    its kind taken so far do not generate it.  Each generator's image of every
+    point is computed once, from the coordinate columns, as a list of indices,
+    and the orbit walk reads those lists.
     """
-    gens = [lambda p: ((n - p[0]) % n,) + p[1:], lambda p: p[1:] + p[:1], lambda p: p[1::-1] + p[2:]]
+    if not points:
+        return []
+    index = {p: i for i, p in enumerate(points)}
+
+    def image(*cols) -> list[int]:  # the index of each mapped point, from its coordinate columns
+        return list(map(index.__getitem__, zip(*cols)))
+
+    x, *rest = cols = list(zip(*points))
+    images = [image([(n - c) % n for c in x], *rest), image(*rest, x)]
+    if len(cols) > 2:  # for m = 2 the transposition is the cyclic shift
+        images.append(image(cols[1], x, *cols[2:]))
     units, times = {1}, lambda h, u: h * u % n
     for u in range(2, n):
         if gcd(u, n) == 1 and _grow(units, u, times):
-            gens.append(lambda p, u=u: tuple(u * c % n for c in p))
-    if points and len(points[0]) > 1:
+            images.append(image(*([u * c % n for c in col] for col in cols)))
+    if len(cols) > 1:
         q = form_modulus
+        y = cols[1]
         turns = {(1, 0)}  # rotations (a, b) mod q, composed as (a + bi)(c + di)
         compose = lambda h, g: ((h[0] * g[0] - h[1] * g[1]) % q, (h[0] * g[1] + h[1] * g[0]) % q)
         for a in range(q):
             for b in range(q):
                 if (a * a + b * b) % q == 1 and _grow(turns, (a, b), compose):
-                    gens.append(lambda p, a=a, b=b: ((a * p[0] - b * p[1]) % n, (b * p[0] + a * p[1]) % n) + p[2:])
-    index = {p: i for i, p in enumerate(points)}
+                    turned = [(a * s - b * t) % n for s, t in zip(x, y)], [(b * s + a * t) % n for s, t in zip(x, y)]
+                    images.append(image(*turned, *cols[2:]))
     seen = [False] * len(points)
     orbits = []
     for i in range(len(points)):
@@ -447,8 +483,8 @@ def _rooted_orbits(points: list[Point], n: int, form_modulus: int) -> list[list[
         seen[i] = True
         orbit = [i]
         for j in orbit:  # the list grows while it is walked
-            for gen in gens:
-                k = index[gen(points[j])]
+            for moved in images:
+                k = moved[j]
                 if not seen[k]:
                     seen[k] = True
                     orbit.append(k)

@@ -10,9 +10,10 @@ row/column permutation yields a larger key, and semi-canonical if no
 permutation yields a larger key after dropping the last row and column.
 
 The maximum is found by one engine: ``max_cardinality`` runs a clique
-search with greedy-coloring bounds around each canonical triangle, which
-reaches the published maxima at moduli where whole levels of matrices would
-not fit in time or memory.  The triangles themselves need no permutation
+search with greedy-coloring bounds around each canonical triangle (the
+coloring of ``cliquegraph``, over complement rows, floored at the incumbent
+less the points chosen), which reaches the published maxima at moduli where
+whole levels of matrices would not fit in time or memory.  The triangles themselves need no permutation
 search to be admitted: a triangle is semi-canonical iff its leading class is
 at least the image of each of its classes under the identity and every
 relabeling (``EdgeClassTable.tops``), and its second point is
@@ -44,7 +45,7 @@ from math import gcd
 from operator import or_
 import time
 
-from .cliquegraph import BUDGET_POLL, _color_order, deadline_after
+from .cliquegraph import BUDGET_POLL, _color_order, _complement_rows, deadline_after
 from .errors import InvalidInputError, SearchTimeout
 from .geometry import (
     DeltaVec,
@@ -411,13 +412,15 @@ def seed_candidates(
     concyclic with the witness.
 
     Returns None if the candidates cannot beat ``best`` (at least 3), else
-    (points, spans, pairs, adj, gather): bit i of ``gather(mask)`` is the
+    (points, spans, pairs, nadj, gather): bit i of ``gather(mask)`` is the
     bit of the mask over Z_n^2 at ``points[i]``.
-    Row p of ``adj`` is, in p's frame, the admissible differences less its
-    spokes (its lines through the witness) and, in general mode, the circles
-    through 0 about each centre of ``pairs[p]`` (``through_origin``), shifted
-    by p and gathered.  Both filters are symmetric in two candidates, so the
-    rows are; ``allowed`` holds no zero difference, so no row has its own bit.
+    The adjacency row of p is, in p's frame, the admissible differences less
+    its spokes (its lines through the witness) and, in general mode, the
+    circles through 0 about each centre of ``pairs[p]`` (``through_origin``),
+    shifted by p and gathered.  Both filters are symmetric in two candidates,
+    so the rows are; ``allowed`` holds no zero difference, so no row has its
+    own bit.  ``nadj`` holds their complement rows, which
+    ``cliquegraph._color_order`` reads.
     """
     cand = allowed
     for wx, wy in witness:
@@ -475,7 +478,7 @@ def seed_candidates(
             centres ^= low
             drop |= through_origin[low.bit_length() - 1]
         adj.append(gather(_shift(allowed & ~drop, px, py, n)))
-    return points, spans, pairs, adj, gather
+    return points, spans, pairs, _complement_rows(adj), gather
 
 
 def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Point, ...]]:
@@ -506,9 +509,9 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
     every triangle and is searched.
 
     The extra points form a clique, bounded by the greedy coloring of
-    ``cliquegraph._color_order``; lines through two chosen points, and in
-    general mode circles through three, drop candidates as points are
-    chosen.  Seeds run in descending key order, as large leading classes
+    ``cliquegraph._color_order`` with floor ``best - r``; lines through two
+    chosen points, and in general mode circles through three, drop
+    candidates as points are chosen.  Seeds run in descending key order, as large leading classes
     admit the most candidates and give a large incumbent early.
     ``deadline`` is a ``time.monotonic()`` instant, read before each seed
     and every ``BUDGET_POLL`` nodes; once it has passed, ``SearchTimeout``
@@ -542,7 +545,7 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
         found = seed_candidates(witness, rec.key, table.admissible[rec.key[0]], frame, n, best)
         if found is None:
             continue
-        points, spans, pairs, adj, gather = found
+        points, spans, pairs, nadj, gather = found
         size = len(points)
         lines: list[int | None] = [None] * (size * size if filtered and not circles else 0)
         codes = [point_code(p, n) for p in points]
@@ -582,11 +585,12 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
                 return
             if nodes % BUDGET_POLL == 0:
                 check_budget()
-            order, colors = _color_order(cand, adj)
+            order, colors = _color_order(cand, nadj, best - r)
             for v, color in zip(reversed(order), reversed(colors)):
                 if r + color <= best:
                     return
-                sub = cand & adj[v]
+                cand ^= 1 << v
+                sub = cand & ~nadj[v]
                 sub_spans, sub_pairs, sub_spokes = spans, pairs, spokes
                 if circles:
                     sub_spans, sub_pairs, sub_spokes = spans[:], pairs[:], spokes[:]
@@ -611,7 +615,6 @@ def _dfs_max(n: int, mode: str, deadline: float | None) -> tuple[int, tuple[Poin
                 chosen.append(v)
                 descend(sub, sub_spans, sub_pairs, sub_spokes)
                 chosen.pop()
-                cand ^= 1 << v
 
         descend((1 << size) - 1, spans, pairs, [0] * (size if circles else 0))
     return best, best_witness

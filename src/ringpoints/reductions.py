@@ -217,20 +217,33 @@ def _solve_rooted(n: int, m: int, deadline: float | None) -> int:
     return _rooted_value(build_rooted(n, m), n, deadline)
 
 
+def _factor_value(q: int, m: int, deadline: float | None) -> int:
+    """I(q, m) for one factor: 2^m for 2, the half-ring weight graph for other
+    even q, else the rooted clique search."""
+    if q % 2:
+        return _solve_rooted(q, m, deadline)
+    return 2**m if q == 2 else _rooted_value(even_reduction_graph(q, m), q, deadline)
+
+
 def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None) -> int:
     """Exact maximum cardinality of an integral point set over Z_n^m.
 
     Dispatches the closed forms (m = 1, n <= 2) and splits composite n into
     coprime prime-power factors unless ``use_cartesian`` is false.  Each
-    factor (the whole n without splitting) is 2^m for 2, the half-ring weight
-    graph for other even moduli, else the rooted clique search.  ``budget``
-    becomes one deadline as the call starts, shared by every factor's graph
-    build and search; a graph build counts against it but is not interrupted.
-    Once it has passed, SearchTimeout carries the best proven lower bound.
+    factor (the whole n without splitting) is solved by ``_factor_value``.
+    ``budget`` becomes one deadline as the call starts, shared by every
+    factor's graph build and search; a graph build counts against it but is
+    not interrupted.  Once it has passed, SearchTimeout carries the best
+    proven lower bound.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be positive")
-    deadline = deadline_after(budget)
+    return _exact_I(n, m, use_cartesian, deadline_after(budget), {})
+
+
+def _exact_I(n: int, m: int, use_cartesian: bool, deadline: float | None, known: dict[int, int]) -> int:
+    """``I_of`` past its argument check; ``known`` maps each factor already
+    solved exactly to I(factor, m), and gains the factors this call solves."""
     if n == 1:
         return 1
     if m == 1:
@@ -239,18 +252,17 @@ def I_of(n: int, m: int, use_cartesian: bool = True, budget: float | None = None
     factors = [p**r for p, r in factorize(n)] if use_cartesian else [n]
     out = 1
     for pos, q in enumerate(factors):
-        try:
-            if q % 2:
-                out *= _solve_rooted(q, m, deadline)
-            else:
-                out *= 2**m if q == 2 else _rooted_value(even_reduction_graph(q, m), q, deadline)
-        except SearchTimeout as exc:
-            # finished factors are exact; each remaining factor q has the
-            # axis line, so I(q, m) >= q
-            bound = out * exc.lower_bound * prod(factors[pos + 1 :])
-            if m == 2:
-                bound = max(bound, conjectured_I2(n))
-            raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
+        if q not in known:
+            try:
+                known[q] = _factor_value(q, m, deadline)
+            except SearchTimeout as exc:
+                # finished factors are exact; each remaining factor q has the
+                # axis line, so I(q, m) >= q
+                bound = out * exc.lower_bound * prod(factors[pos + 1 :])
+                if m == 2:
+                    bound = max(bound, conjectured_I2(n))
+                raise SearchTimeout(f"I({n},{m}) factor {q} hit budget", bound) from exc
+        out *= known[q]
     return out
 
 
@@ -279,14 +291,18 @@ class ConjectureReport:
 def verify_conjecture(n_max: int, budget: float | None = None, n_min: int = 2) -> ConjectureReport:
     """Compare exact I(n, 2) against the best construction bound for n <= n_max.
 
-    Each n is recomputed from scratch (prime-power factors by clique search);
-    budget expiry marks the entry unverified instead of failing the run.
+    Each n gets its own ``budget``, and budget expiry marks the entry
+    unverified instead of failing the run.  Each distinct prime-power factor
+    is searched once per call: its exact value is kept for the later n it
+    divides, and a factor whose search timed out is not kept, so a later n
+    searches it again under its own budget.
     """
     entries = []
+    known: dict[int, int] = {}
     for n in range(n_min, n_max + 1):
         conj, tag = conjectured_I2_tag(n)
         try:
-            exact = I_of(n, 2, budget=budget)
+            exact = _exact_I(n, 2, True, deadline_after(budget), known)
             entries.append(ConjectureEntry(n, conj, tag, exact, exact == conj))
         except SearchTimeout:
             entries.append(ConjectureEntry(n, conj, tag, None, None))

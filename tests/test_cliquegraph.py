@@ -17,6 +17,7 @@ from ringpoints.cliquegraph import (
     max_clique,
     _all_points,
     _color_order,
+    _complement_rows,
     _greedy_clique,
     _integral_diff_table,
     _rooted_orbits,
@@ -117,8 +118,15 @@ def test_color_order_is_a_greedy_coloring():
     for _ in range(200):
         v = rng.randint(1, 40)
         adj = random_graph(rng, v, rng.uniform(0.1, 0.9)).adj
+        nadj = _complement_rows(adj)
+        assert all(nadj[i] == ((1 << v) - 1) & ~(adj[i] | 1 << i) for i in range(v))
         cand = rng.getrandbits(v)
-        order, colors = _color_order(cand, adj)
+        order, colors = _color_order(cand, nadj, 0)
+        # a floor lists exactly the vertices colored above it, with the same colors
+        floor = rng.randint(0, max(colors, default=0) + 1)
+        assert list(zip(*_color_order(cand, nadj, floor))) == [
+            (u, c) for u, c in zip(order, colors) if c > floor
+        ]
         assert sorted(order) == [i for i in range(v) if (cand >> i) & 1]
         assert len(colors) == len(order)
         for k in range(1, len(order)):
@@ -255,9 +263,9 @@ def test_sweep_builds_fewer_rows_than_vertices(monkeypatch):
 
     monkeypatch.setattr(ringpoints.reductions, "max_clique", recording)
     assert verify_conjecture(47).all_tight
-    assert len(searched) == 60
-    assert sum(rows for _, rows in searched) == 5410
-    assert sum(rows for _, rows in searched) < sum(v for v, _ in searched) == 7567
+    assert len(searched) == 21  # one per distinct prime-power factor
+    assert sum(rows for _, rows in searched) == 4191
+    assert sum(rows for _, rows in searched) < sum(v for v, _ in searched) == 6167
 
 
 def test_one_vertex_rooted_graphs():

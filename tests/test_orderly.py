@@ -20,6 +20,7 @@ from ringpoints.geometry import (
     is_integral,
     line_table,
 )
+from ringpoints.cliquegraph import _complement_rows
 from ringpoints.orderly import (
     MODES,
     DeltaMatrix,
@@ -689,7 +690,7 @@ def test_through_origin_inverts_origin_bis():
 
 def test_candidate_rows_match_per_edge_walk():
     # seed_candidates, which decides the witness lines and triangle keys and
-    # builds the gathered rows in each candidate's frame, against the per-edge
+    # builds the gathered complement rows in each candidate's frame, against the per-edge
     # walk with one bisector call per pair and one triangle key search per
     # witness pair, on seeded samples of the canonical triangles, each sample
     # with a one-candidate seed where the cell has one; a best the candidates
@@ -720,7 +721,7 @@ def test_candidate_rows_match_per_edge_walk():
             ones = [case for case in cases if len(case[3]) == 1]
             single += bool(ones)
             for case in rng.sample(cases, 10) + ones[:1]:
-                witness, key, allowed, points, spans, pairs, adj, gather = case
+                witness, key, allowed, points, spans, pairs, nadj, gather = case
                 expect_points, expect_spans, expect_pairs, expect_adj = orderly_seed_graph(
                     witness, key, allowed, n, mode
                 )
@@ -728,7 +729,7 @@ def test_candidate_rows_match_per_edge_walk():
                 # spans and pairs are held translated by minus their candidate
                 assert [_shift(m, x, y, n) for m, (x, y) in zip(spans, points)] == expect_spans
                 assert [_shift(m, x, y, n) for m, (x, y) in zip(pairs, points)] == expect_pairs
-                assert adj == expect_adj, (n, mode, witness)
+                assert nadj == _complement_rows(expect_adj), (n, mode, witness)
                 assert gather((1 << n * n) - 1) == (1 << len(points)) - 1
                 assert seed_candidates(witness, key, allowed, frame, n, 3 + len(points)) is None
                 # without the triangle keys the walk keeps more candidates

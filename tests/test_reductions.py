@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from oracles import cartesian_compose, is_set_collinear, semi_general_upper
@@ -8,9 +10,10 @@ from ringpoints.cliquegraph import (
     _rooted_orbits,
     max_clique,
 )
-from ringpoints.errors import InvalidInputError, NotApplicableError
+from ringpoints import reductions
+from ringpoints.errors import InvalidInputError, NotApplicableError, SearchTimeout
 from ringpoints.geometry import is_collinear, is_integral
-from ringpoints.modring import squares
+from ringpoints.modring import factorize, squares
 from ringpoints.reductions import (
     I_of,
     _hamming_table,
@@ -267,3 +270,40 @@ def test_verify_conjecture_small():
     assert entry.exact == 64 and entry.conjectured == 64
     entry = next(e for e in report.entries if e.n == 17)
     assert entry.exact == 17 and entry.conjectured == 17
+
+
+def test_verify_conjecture_searches_each_factor_once(monkeypatch):
+    searched = Counter()
+    search = reductions._factor_value
+
+    def counting(q, m, deadline):
+        searched[q] += 1
+        return search(q, m, deadline)
+
+    monkeypatch.setattr(reductions, "_factor_value", counting)
+    report = verify_conjecture(30)
+    factors = {p**r for n in range(2, 31) for p, r in factorize(n)}
+    assert {q: c for q, c in searched.items() if q != 2} == {q: 1 for q in factors - {2}}
+    monkeypatch.undo()
+    fresh = [I_of(e.n, 2) for e in report.entries]
+    assert [e.exact for e in report.entries] == fresh
+
+
+def test_verify_conjecture_keeps_no_timed_out_factor(monkeypatch):
+    # the first search of 5 times out: n = 5 reads unverified, and n = 10
+    # searches 5 again instead of reusing a bound
+    search = reductions._factor_value
+    calls = []
+
+    def flaky(q, m, deadline):
+        calls.append(q)
+        if q == 5 and calls.count(5) == 1:
+            raise SearchTimeout("factor search hit budget", 3)
+        return search(q, m, deadline)
+
+    monkeypatch.setattr(reductions, "_factor_value", flaky)
+    report = verify_conjecture(10)
+    entries = {e.n: e for e in report.entries}
+    assert report.unverified == [5]
+    assert calls.count(5) == 2
+    assert entries[10].exact == 20 and entries[10].tight
